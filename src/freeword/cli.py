@@ -220,6 +220,11 @@ def cmd_check(args) -> int:
         raise ParseError("alphabet must name at least one generator", token=args.alphabet)
     for name in names:
         signed(name)
+    # a corpus of no words would pass vacuously
+    if args.max_len < 0:
+        raise ParseError("--max-len must not be negative", token=str(args.max_len))
+    if args.samples is not None and args.samples < 1:
+        raise ParseError("--samples must be at least 1", token=str(args.samples))
     if args.max_len > args.cap:
         raise CapExceeded(args.max_len, args.cap)
     if args.samples is not None:

@@ -65,12 +65,17 @@ def is_redex_at(w: Word, p: int) -> bool:
     Covers both orders (``a a'`` and ``a' a``).  Out-of-range positions
     are allowed and simply yield False.
     """
-    return 0 <= p <= len(w) - 2 and w[p] == invert(w[p + 1])
+    if not 0 <= p <= len(w) - 2:
+        return False
+    x, y = w[p], w[p + 1]
+    return x.name == y.name and x.sign == -y.sign
 
 
 def find_redexes(w: Word) -> list[int]:
     """All positions where a redex starts, in ascending order."""
-    return [p for p in range(len(w) - 1) if w[p] == invert(w[p + 1])]
+    # same test as is_redex_at, inlined: this is the enumerator's inner loop
+    return [p for p in range(len(w) - 1)
+            if w[p].name == w[p + 1].name and w[p].sign == -w[p + 1].sign]
 
 
 def parse_word(text: str) -> Word:

@@ -150,7 +150,7 @@ _KINDS = (SWAP, OVERLAP_LEFT, OVERLAP_RIGHT)
 
 def parse_move(text: str) -> Move:
     kind, sep, at = text.strip().partition("@")
-    if not sep or kind not in _KINDS or not at.isdigit():
+    if not sep or kind not in _KINDS or not (at.isascii() and at.isdigit()):
         raise ParseError("bad move", token=text.strip())
     return Move(kind, int(at))
 

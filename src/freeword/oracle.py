@@ -17,7 +17,6 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .core import NEGATIVE, POSITIVE, SignedGenerator, Word, find_redexes, invert, render_word
 from .errors import CapExceeded, FreewordError
@@ -36,17 +35,20 @@ def _check_cap(w: Word, cap: int) -> None:
         raise CapExceeded(len(w), cap)
 
 
-@lru_cache(maxsize=None)
-def _step_lists(w: Word) -> tuple[Steps, ...]:
-    # recursion over subwords; the cache is shared across calls, so
-    # sweeping a whole corpus only ever expands each word once
+def _step_lists(w: Word, memo: dict[Word, tuple[Steps, ...]]) -> tuple[Steps, ...]:
+    # recursion over subwords; memo lives for one enumerate_sequences
+    # call, so each subword of w is expanded once and nothing is kept
+    # after the call returns
     if not w:
         return ((),)
+    if w in memo:
+        return memo[w]
     found = []
     for p in find_redexes(w):
         shorter = w[:p] + w[p + 2:]
-        found.extend((p,) + tail for tail in _step_lists(shorter))
-    return tuple(found)
+        found.extend((p,) + tail for tail in _step_lists(shorter, memo))
+    memo[w] = tuple(found)
+    return memo[w]
 
 
 def enumerate_sequences(w: Word, cap: int = DEFAULT_CAP) -> list[ReductionSequence]:
@@ -54,7 +56,7 @@ def enumerate_sequences(w: Word, cap: int = DEFAULT_CAP) -> list[ReductionSequen
     position order.  Empty iff the normal form of w is nonempty; the
     empty word has exactly the empty sequence."""
     _check_cap(w, cap)
-    return [ReductionSequence(w, steps) for steps in _step_lists(w)]
+    return [ReductionSequence(w, steps) for steps in _step_lists(w, {})]
 
 
 @dataclass
@@ -93,18 +95,19 @@ def build_move_graph(w: Word, cap: int = DEFAULT_CAP) -> MoveGraph:
 
 def check_connected(graph: MoveGraph) -> bool:
     """BFS from the first node; true iff at most one component (so
-    vacuously true for irreducible words)."""
+    vacuously true for irreducible words).  An edge leading out of the
+    node set, which only a faulty move can produce, also makes it false."""
     if not graph.nodes:
         return True
     seen = {graph.nodes[0]}
     queue = deque(seen)
     while queue:
         node = queue.popleft()
-        for _, other in graph.adjacency[node]:
+        for _, other in graph.adjacency.get(node, ()):
             if other not in seen:
                 seen.add(other)
                 queue.append(other)
-    return len(seen) == len(graph.nodes)
+    return seen == set(graph.nodes)
 
 
 def check_triviality_witness(w: Word, cap: int = DEFAULT_CAP) -> bool:
@@ -120,7 +123,7 @@ def _distances_from(graph: MoveGraph, start: Steps) -> dict[Steps, int]:
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for _, other in graph.adjacency[node]:
+        for _, other in graph.adjacency.get(node, ()):
             if other not in dist:
                 dist[other] = dist[node] + 1
                 queue.append(other)
@@ -285,13 +288,12 @@ def check_corpus(
     report = CorpusReport()
     for w in sorted(words, key=render_word):
         report.words_checked += 1
-        sequences = enumerate_sequences(w, cap)
-        report.sequences_enumerated += len(sequences)
-        if bool(sequences) != (normal_form(w) == ()):
-            report.mismatched.append(w)
-        if not sequences:
-            continue
         graph = build_move_graph(w, cap)
+        report.sequences_enumerated += len(graph.nodes)
+        if bool(graph.nodes) != (normal_form(w) == ()):
+            report.mismatched.append(w)
+        if not graph.nodes:
+            continue
         if not check_connected(graph):
             report.disconnected.append(w)
         limit = None if len(graph.nodes) <= pair_threshold else pair_samples

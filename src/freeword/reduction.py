@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .core import Word, is_redex_at
-from .errors import IncompleteReduction, InvalidRedex, ParseError
+from .errors import IncompleteReduction, IndexOutOfRange, InvalidRedex, ParseError
 
 
 class ReductionSequence(NamedTuple):
@@ -88,7 +88,7 @@ def step_of_index(r: ReductionSequence, index: int) -> int:
     the steps; desk-scale words keep this cheap.
     """
     if not 0 <= index < len(r.word):
-        raise IndexError(f"index {index} outside word of length {len(r.word)}")
+        raise IndexOutOfRange(index, len(r.word), what="item index")
     alive = list(range(len(r.word)))
     for k, p in enumerate(r.steps):
         if index in (alive[p], alive[p + 1]):
@@ -98,10 +98,11 @@ def step_of_index(r: ReductionSequence, index: int) -> int:
 
 
 def parse_steps(text: str) -> tuple[int, ...]:
-    """Parse ``3,0,0`` (or ``3 0 0``) into a position tuple."""
+    """Parse ``3,0,0`` (or ``3 0 0``) into a position tuple.  Positions
+    are ASCII digits only."""
     steps = []
     for part in text.replace(",", " ").split():
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise ParseError("bad step position", token=part)
         steps.append(int(part))
     return tuple(steps)

@@ -10,72 +10,86 @@ explicit move chains, so each rewrite can be replayed and audited.
 from __future__ import annotations
 
 from .core import SignedGenerator, Word, invert, is_redex_at
-from .errors import InvalidRedex, WordMismatch
-from .moves import (
-    LEFT,
-    OVERLAP_LEFT,
-    OVERLAP_RIGHT,
-    RIGHT,
-    SWAP,
-    Move,
-    MoveChain,
-    overlap_switch,
-    swap,
-)
-from .reduction import ReductionSequence, apply_step, step_of_index
+from .errors import InvalidRedex, NoOverlap, NotIndependent, WordMismatch
+from .moves import LEFT, OVERLAP_LEFT, OVERLAP_RIGHT, RIGHT, SWAP, Move, MoveChain
+from .reduction import ReductionSequence, _pair_at, apply_step
+
+
+def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
+    """Edit steps, the positions of a complete reduction of word, in
+    place so that its first step removes the redex at p; return the
+    moves doing that, their step indices lifted by ``lift``.
+
+    One scan with the surviving original indices finds k, the first
+    step to consume item p or item p+1, and the items around it.  If
+    that step takes both, it is bubbled to the front with adjacent
+    swaps (never blocked: a step independent of everything before it
+    stays independent while moving left).  Otherwise it takes one of
+    them together with a third, equal neighbour, an overlapping
+    configuration; one overlap switch retargets it onto the marked pair
+    first.  Each move is done as arithmetic on the list, with the
+    checks of swap and overlap_switch.
+    """
+    if not is_redex_at(word, p):
+        raise InvalidRedex(p, pair=_pair_at(word, p))
+    alive = list(range(len(word)))
+    for k, q in enumerate(steps):
+        left, right = alive[q], alive[q + 1]
+        if left == p:
+            moves = []
+            break
+        if left == p + 1:
+            # item p+1 is cancelled rightwards first: pull the step onto (p, p+1)
+            if word[alive[q - 1]] != word[right]:
+                raise NoOverlap(k, q, LEFT)
+            steps[k] = q - 1
+            moves = [Move(OVERLAP_LEFT, k + lift)]
+            break
+        if right == p:
+            # mirror case: item p is cancelled leftwards first
+            if q + 2 >= len(alive) or word[alive[q + 2]] != word[left]:
+                raise NoOverlap(k, q, RIGHT)
+            steps[k] = q + 1
+            moves = [Move(OVERLAP_RIGHT, k + lift)]
+            break
+        del alive[q:q + 2]
+    else:
+        raise AssertionError("a complete sequence consumes every index")
+    for i in range(k - 1, -1, -1):
+        a, b = steps[i], steps[i + 1]
+        if b == a - 1:
+            raise NotIndependent(i, a, b)
+        steps[i], steps[i + 1] = (b, a - 2) if b <= a - 2 else (b + 2, a)
+        moves.append(Move(SWAP, i + lift))
+    assert steps[0] == p, "bubbled step must land on the marked redex"
+    return moves
 
 
 def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionSequence]:
     """Rewrite r so that its first step removes the redex at p.
 
     Returns the move chain together with the rewritten sequence;
-    replaying the chain on r yields exactly that sequence.
-
-    Let m and n be the steps of r consuming items p and p+1.  If m == n
-    the consuming step is bubbled to the front with adjacent swaps
-    (never blocked: a step independent of everything before it stays
-    independent while moving left).  Otherwise the earlier of the two
-    steps consumes its item together with a third, equal neighbour, an
-    overlapping configuration; one overlap switch retargets that step
-    onto the marked pair, reducing to the first case.  The chain length
-    is at most one overlap switch plus steps-1 swaps.
+    replaying the chain on r yields exactly that sequence.  The chain is
+    at most one overlap switch, on the first step to consume item p or
+    p+1, followed by the swaps bubbling that step to the front, so its
+    length is at most the number of steps.
     """
-    if not is_redex_at(r.word, p):
-        pair = (r.word[p], r.word[p + 1]) if 0 <= p <= len(r.word) - 2 else None
-        raise InvalidRedex(p, pair=pair)
-    m = step_of_index(r, p)
-    n = step_of_index(r, p + 1)
-    moves: list[Move] = []
-    current = r
-    if m > n:
-        # item p+1 was cancelled rightwards first; pull step n onto (p, p+1)
-        current = overlap_switch(current, n, LEFT)
-        moves.append(Move(OVERLAP_LEFT, n))
-        front = n
-    elif m < n:
-        # mirror case: item p was cancelled leftwards first
-        current = overlap_switch(current, m, RIGHT)
-        moves.append(Move(OVERLAP_RIGHT, m))
-        front = m
-    else:
-        front = m
-    for i in range(front - 1, -1, -1):
-        current = swap(current, i)
-        moves.append(Move(SWAP, i))
-    assert current.steps[0] == p, "bubbled step must land on the marked redex"
-    return tuple(moves), current
+    steps = list(r.steps)
+    moves = _front(r.word, steps, p, 0)
+    return tuple(moves), ReductionSequence(r.word, tuple(steps))
 
 
 def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     """A move chain rewriting r into s.
 
-    Both sequences must reduce the same word.  Level by level: bring the
-    redex s removes first to the front of r, drop the now-identical
-    first steps, and continue on the remainders; moves found later apply
-    past the fixed prefix, so their step indices are lifted.  The chain
-    is correct, not minimal: apply_chain(r, result) == s, with length at
-    most k(k+1)/2 + k for k steps.  r == s still runs the full pass and
-    may return a nonempty chain that replays to r itself.
+    Both sequences must reduce the same word.  Level by level, on one
+    list of r's step positions: front the redex that s removes next,
+    drop the now-identical first step, and continue on the shorter word.
+    Moves found at level j apply past the j fixed steps, so their step
+    indices are lifted by j.  The chain is correct, not minimal:
+    apply_chain(r, result) == s, with length at most k(k+1)/2 + k for
+    k steps.  r == s still runs the full pass and may return a nonempty
+    chain that replays to r itself.
     """
     if r.word != s.word:
         raise WordMismatch(
@@ -83,17 +97,11 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
         )
     chain: list[Move] = []
     word = r.word
-    current = r
-    remaining = s.steps
-    offset = 0
-    while remaining:
-        p = remaining[0]
-        prefix, fronted = front_reduction(current, p)
-        chain.extend(Move(move.kind, move.at + offset) for move in prefix)
-        word = apply_step(word, p)
-        current = ReductionSequence(word, fronted.steps[1:])
-        remaining = remaining[1:]
-        offset += 1
+    steps = list(r.steps)
+    for level, p in enumerate(s.steps):
+        chain += _front(word, steps, p, level)
+        word = word[:p] + word[p + 2:]
+        del steps[0]
     return tuple(chain)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from freeword.cli import main
 
 
@@ -214,6 +216,39 @@ def test_check_rejects_max_len_beyond_cap(capsys):
     code, _, err = run(capsys, "check", "--max-len", "13")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "a a'", "--steps", "\u00b2"),
+    ("connect", "a a'", "0", "\u00b2"),
+])
+def test_non_ascii_step_digits_are_a_parse_error(capsys, argv):
+    # used to pass str.isdigit and crash in int() with a traceback, exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad step position")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--samples", "-3"),
+    ("--samples", "0"),
+    ("--max-len", "-2"),
+])
+def test_check_rejects_an_empty_corpus(capsys, option, value):
+    # each used to check 0 words and report ok: a vacuous pass
+    code, out, err = run(capsys, "check", option, value)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+def test_check_accepts_max_len_zero(capsys):
+    # the empty word alone is a corpus of one word, not a vacuous pass
+    code, payload = run_json(capsys, "check", "--max-len", "0")
+    assert code == 0
+    assert payload["words_checked"] == 1
+    assert payload["ok"] is True
 
 
 def test_check_rejects_empty_alphabet(capsys):

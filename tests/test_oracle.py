@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from freeword import moves, oracle
 from freeword.core import parse_word
 from freeword.errors import CapExceeded
 from freeword.group import normal_form
@@ -19,7 +20,8 @@ from freeword.oracle import (
     random_reducible_word,
     signed_alphabet,
 )
-from freeword.reduction import validate_sequence
+from freeword.transform import transform_to
+from freeword.reduction import ReductionSequence, validate_sequence
 
 
 def w(text):
@@ -223,3 +225,40 @@ def test_check_corpus_sampling_policy():
     report = check_corpus([word], pair_threshold=200, pair_samples=50)
     assert report.pairs_verified == 50
     assert report.ok
+
+
+# The oracle must be able to fail: each seeded defect below has to show
+# up as a reported failure of check_corpus, not as a pass or a crash.
+
+SELF_TEST_WORDS = [word for length in range(0, 7, 2) for word in all_words(("a", "b"), length)]
+
+
+def truncating_transform_to(r, s):
+    return transform_to(r, s)[:-1]
+
+
+def swap_without_shift(r, i):
+    # exchanges the positions but forgets to rewrite them
+    steps = r.steps
+    return ReductionSequence(r.word, steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:])
+
+
+def overlap_target_off_by_one(before, p, direction):
+    target = ORIGINAL_OVERLAP_TARGET(before, p, direction)
+    return None if target is None else p
+
+
+ORIGINAL_OVERLAP_TARGET = moves._overlap_target
+
+
+@pytest.mark.parametrize("module,name,defect", [
+    (oracle, "transform_to", truncating_transform_to),
+    (moves, "swap", swap_without_shift),
+    (moves, "_overlap_target", overlap_target_off_by_one),
+])
+def test_check_corpus_reports_seeded_defects(monkeypatch, module, name, defect):
+    assert check_corpus(SELF_TEST_WORDS).ok
+    monkeypatch.setattr(module, name, defect)
+    report = check_corpus(SELF_TEST_WORDS)
+    assert not report.ok
+    assert report.words_checked == len(SELF_TEST_WORDS)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freeword.core import parse_word, render_word
-from freeword.errors import IncompleteReduction, InvalidRedex, ParseError
+from freeword.errors import IncompleteReduction, IndexOutOfRange, InvalidRedex, ParseError
 from freeword.oracle import random_reducible_word
 from freeword.reduction import (
     ReductionSequence,
@@ -176,11 +176,12 @@ def test_step_of_index_single_pair():
 
 
 def test_step_of_index_out_of_range():
+    # a FreewordError, so callers catching that one type see it
     r = validate_sequence(w("a a'"), (0,))
-    with pytest.raises(IndexError):
-        step_of_index(r, 2)
-    with pytest.raises(IndexError):
-        step_of_index(r, -1)
+    for index in (2, -1):
+        with pytest.raises(IndexOutOfRange) as info:
+            step_of_index(r, index)
+        assert info.value.index == index
 
 
 @given(sequences())
@@ -201,6 +202,11 @@ def test_parse_steps_rejects_garbage():
         parse_steps("3,x,0")
     with pytest.raises(ParseError):
         parse_steps("-1")
+    # str.isdigit accepts these, but int() fails on the superscript and
+    # would quietly read the Arabic-Indic digit as 1
+    for bad in ["\u00b2", "0,\u00b2", "\u0661", "\uff11"]:
+        with pytest.raises(ParseError):
+            parse_steps(bad)
 
 
 def test_render_steps():

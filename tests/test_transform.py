@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from freeword.core import invert, parse_word, signed
 from freeword.errors import InvalidRedex, WordMismatch
-from freeword.moves import Move, apply_chain
-from freeword.oracle import enumerate_sequences, random_reducible_word
+from freeword.moves import Move, apply_chain, render_chain
+from freeword.oracle import all_words, enumerate_sequences, random_reducible_word
 from freeword.reduction import ReductionSequence, apply_step, validate_sequence
 from freeword.transform import drop_redex, extend_reduction, front_reduction, transform_to
 
@@ -136,6 +137,25 @@ def test_transform_to_lifts_tail_moves():
     chain = transform_to(r, s)
     assert apply_chain(r, chain) == s
     assert all(move.at >= 1 for move in chain)
+
+
+# sha256 over render_chain(transform_to(r, s)) + "\n" for every ordered
+# pair of sequences of every two-letter word of even length up to 8
+GOLDEN_CHAINS_SHA256 = "934c55ca7c7c2c0bdb3556ac9634f7e7376d9f31e6650a656adbc279b3ae6ca9"
+GOLDEN_CHAINS_PAIRS = 658301
+
+
+def test_transform_to_chains_are_pinned():
+    digest = hashlib.sha256()
+    pairs = 0
+    for length in range(0, 9, 2):
+        for word in all_words(("a", "b"), length):
+            nodes = enumerate_sequences(word)
+            for r, s in itertools.product(nodes, nodes):
+                digest.update((render_chain(transform_to(r, s)) + "\n").encode())
+                pairs += 1
+    assert pairs == GOLDEN_CHAINS_PAIRS
+    assert digest.hexdigest() == GOLDEN_CHAINS_SHA256
 
 
 def test_extend_reduction_prepends_the_inserted_pair():
