@@ -97,17 +97,7 @@ def check_connected(graph: MoveGraph) -> bool:
     """BFS from the first node; true iff at most one component (so
     vacuously true for irreducible words).  An edge leading out of the
     node set, which only a faulty move can produce, also makes it false."""
-    if not graph.nodes:
-        return True
-    seen = {graph.nodes[0]}
-    queue = deque(seen)
-    while queue:
-        node = queue.popleft()
-        for _, other in graph.adjacency.get(node, ()):
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    return seen == set(graph.nodes)
+    return not graph.nodes or _distances_from(graph, graph.nodes[0]).keys() == set(graph.nodes)
 
 
 def check_triviality_witness(w: Word, cap: int = DEFAULT_CAP) -> bool:

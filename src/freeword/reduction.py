@@ -85,16 +85,19 @@ def step_of_index(r: ReductionSequence, index: int) -> int:
 
     Every index of the original word is consumed by exactly one step of
     a complete sequence.  Tracks the surviving original indices through
-    the steps; desk-scale words keep this cheap.
+    the steps; desk-scale words keep this cheap.  Steps that run off the
+    word or run out first raise InvalidRedex or IncompleteReduction.
     """
     if not 0 <= index < len(r.word):
         raise IndexOutOfRange(index, len(r.word), what="item index")
     alive = list(range(len(r.word)))
     for k, p in enumerate(r.steps):
+        if not 0 <= p < len(alive) - 1:
+            raise InvalidRedex(p, step=k)
         if index in (alive[p], alive[p + 1]):
             return k
         del alive[p:p + 2]
-    raise AssertionError("a complete sequence consumes every index")
+    raise IncompleteReduction(tuple(r.word[i] for i in alive))
 
 
 def parse_steps(text: str) -> tuple[int, ...]:

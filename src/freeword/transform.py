@@ -10,7 +10,7 @@ explicit move chains, so each rewrite can be replayed and audited.
 from __future__ import annotations
 
 from .core import SignedGenerator, Word, invert, is_redex_at
-from .errors import InvalidRedex, NoOverlap, NotIndependent, WordMismatch
+from .errors import IncompleteReduction, InvalidRedex, NoOverlap, NotIndependent, WordMismatch
 from .moves import LEFT, OVERLAP_LEFT, OVERLAP_RIGHT, RIGHT, SWAP, Move, MoveChain
 from .reduction import ReductionSequence, _pair_at, apply_step
 
@@ -28,7 +28,9 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
     them together with a third, equal neighbour, an overlapping
     configuration; one overlap switch retargets it onto the marked pair
     first.  Each move is done as arithmetic on the list, with the
-    checks of swap and overlap_switch.
+    checks of swap and overlap_switch.  Steps that run out before
+    consuming p raise IncompleteReduction; steps off the word are caught
+    once per call by _step_list.
     """
     if not is_redex_at(word, p):
         raise InvalidRedex(p, pair=_pair_at(word, p))
@@ -54,7 +56,8 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
             break
         del alive[q:q + 2]
     else:
-        raise AssertionError("a complete sequence consumes every index")
+        # map, not a generator: a closure over word would slow every scan
+        raise IncompleteReduction(tuple(map(word.__getitem__, alive)))
     for i in range(k - 1, -1, -1):
         a, b = steps[i], steps[i + 1]
         if b == a - 1:
@@ -63,6 +66,16 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
         moves.append(Move(SWAP, i + lift))
     assert steps[0] == p, "bubbled step must land on the marked redex"
     return moves
+
+
+def _step_list(r: ReductionSequence) -> list[int]:
+    # every step must lie in the word it acts on; checked once per call,
+    # not in the scans of _front, since its moves keep that true
+    last = len(r.word) - 2
+    for k, q in enumerate(r.steps):
+        if not 0 <= q <= last - 2 * k:
+            raise InvalidRedex(q, step=k)
+    return list(r.steps)
 
 
 def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionSequence]:
@@ -74,7 +87,7 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
     p+1, followed by the swaps bubbling that step to the front, so its
     length is at most the number of steps.
     """
-    steps = list(r.steps)
+    steps = _step_list(r)
     moves = _front(r.word, steps, p, 0)
     return tuple(moves), ReductionSequence(r.word, tuple(steps))
 
@@ -97,11 +110,13 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
         )
     chain: list[Move] = []
     word = r.word
-    steps = list(r.steps)
+    steps = _step_list(r)
     for level, p in enumerate(s.steps):
         chain += _front(word, steps, p, level)
         word = word[:p] + word[p + 2:]
         del steps[0]
+    if word:
+        raise IncompleteReduction(word)
     return tuple(chain)
 
 

@@ -1,8 +1,15 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freeword import oracle
 from freeword.cli import main
+from freeword.transform import transform_to
 
 
 def run(capsys, *argv):
@@ -266,3 +273,238 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "nil\n"
+
+
+# Byte-for-byte pin of the whole CLI surface: every subcommand in text
+# and --json, the error exits, and check exhaustive and sampled.  Each
+# row is (argv, exit code, sha256 of stdout + NUL + stderr, first 16 hex
+# digits).  The digests were recorded from the CLI as it stood before its
+# commands shared one output path in main; a refactor must keep them all.
+
+def _pin(code, out, err):
+    return code, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()[:16]
+
+
+PINNED_ARGV = [
+    ("nf", "a b b' c"),
+    ("nf", "a a'"),
+    ("nf", "a''"),
+    ("mul", "a b", "b' a"),
+    ("mul", "a", "a'"),
+    ("inv", "a b'"),
+    ("inv", ""),
+    ("eq", "a b b'", "a"),
+    ("eq", "a", "b"),
+    ("abel", "a b a b' a'"),
+    ("abel", ""),
+    ("reduce", "a a' b c c' b'", "--steps", "3,0,0", "--trace"),
+    ("reduce", "a a' b c c' b'", "--steps", "3,0,0"),
+    ("reduce", "a b b' c"),
+    ("reduce", "a b b' c", "--trace"),
+    ("reduce", ""),
+    ("reduce", "", "--trace"),
+    ("reduce", "a a' b c c' b'", "--steps", "0,0,0"),
+    ("reduce", "a a' b b'", "--steps", "0"),
+    ("reduce", "a a'", "--steps", "\u00b2"),
+    ("sequences", "a a' a a'"),
+    ("sequences", ""),
+    ("sequences", "a b"),
+    ("sequences", " ".join(["a"] * 13)),
+    ("sequences", " ".join(["a"] * 13), "--cap", "13"),
+    ("connect", "a a' a a'", "0,0", "2,0"),
+    ("connect", "a a' a a' a a'", "0,0,0", "4,2,0"),
+    ("connect", "", "", ""),
+    ("connect", "a a' b b'", "1,0", "2,0"),
+    ("graph", "a a' a a'"),
+    ("graph", "a a' a a'", "--dot"),
+    ("graph", "a a' b c c' b'", "--dot"),
+    ("graph", "a b"),
+    ("graph", "a b", "--dot"),
+    ("graph", ""),
+    ("check", "--alphabet", "a,b", "--max-len", "4"),
+    ("check", "--alphabet", "a,b,c", "--max-len", "8", "--samples", "5", "--seed", "3"),
+    ("check", "--max-len", "0"),
+    ("check", "--max-len", "13"),
+    ("check", "--samples", "0"),
+    ("check", "--max-len", "-2"),
+    ("check", "--alphabet", ","),
+    ("check", "--alphabet", "a,b''"),
+]
+
+PINNED = {
+    ('nf', "a b b' c"): (0, '3e3d633736148ca8'),
+    ('nf', "a b b' c", '--json'): (0, 'b078161fb2719de3'),
+    ('nf', "a a'"): (0, 'c4203ed91717907c'),
+    ('nf', "a a'", '--json'): (0, '8832b7f963ce43c0'),
+    ('nf', "a''"): (2, '14ae22b962246694'),
+    ('nf', "a''", '--json'): (2, '14ae22b962246694'),
+    ('mul', 'a b', "b' a"): (0, '914cc10754137fd8'),
+    ('mul', 'a b', "b' a", '--json'): (0, '9bb8dc36d0eed320'),
+    ('mul', 'a', "a'"): (0, 'c4203ed91717907c'),
+    ('mul', 'a', "a'", '--json'): (0, 'd5fc0e88c58376da'),
+    ('inv', "a b'"): (0, '983778bd83b73b13'),
+    ('inv', "a b'", '--json'): (0, '82b661657b50c13e'),
+    ('inv', ''): (0, 'c4203ed91717907c'),
+    ('inv', '', '--json'): (0, '982316e66e7f2494'),
+    ('eq', "a b b'", 'a'): (0, '14c7eb11d048c085'),
+    ('eq', "a b b'", 'a', '--json'): (0, '1198243f776ea6e8'),
+    ('eq', 'a', 'b'): (1, 'ce22a4bc1f595c19'),
+    ('eq', 'a', 'b', '--json'): (1, '1754b8efab68e10c'),
+    ('abel', "a b a b' a'"): (0, '4984acbd542be60d'),
+    ('abel', "a b a b' a'", '--json'): (0, '4984acbd542be60d'),
+    ('abel', ''): (0, '20c3d40e9256a137'),
+    ('abel', '', '--json'): (0, '20c3d40e9256a137'),
+    ('reduce', "a a' b c c' b'", '--steps', '3,0,0', '--trace'): (0, '838b8bdec4845845'),
+    ('reduce', "a a' b c c' b'", '--steps', '3,0,0', '--trace', '--json'): (0, 'e4d6863016b46306'),
+    ('reduce', "a a' b c c' b'", '--steps', '3,0,0'): (0, 'c4203ed91717907c'),
+    ('reduce', "a a' b c c' b'", '--steps', '3,0,0', '--json'): (0, 'e4d6863016b46306'),
+    ('reduce', "a b b' c"): (0, '3e3d633736148ca8'),
+    ('reduce', "a b b' c", '--json'): (0, 'f63a6874b8b1140a'),
+    ('reduce', "a b b' c", '--trace'): (0, '2acaee2f241da8ca'),
+    ('reduce', "a b b' c", '--trace', '--json'): (0, 'f63a6874b8b1140a'),
+    ('reduce', ''): (0, 'c4203ed91717907c'),
+    ('reduce', '', '--json'): (0, 'a6d229e348d57795'),
+    ('reduce', '', '--trace'): (0, 'c4203ed91717907c'),
+    ('reduce', '', '--trace', '--json'): (0, 'a6d229e348d57795'),
+    ('reduce', "a a' b c c' b'", '--steps', '0,0,0'): (2, '5b5079795fc11004'),
+    ('reduce', "a a' b c c' b'", '--steps', '0,0,0', '--json'): (2, '5b5079795fc11004'),
+    ('reduce', "a a' b b'", '--steps', '0'): (2, '98ca42b6abf1ea67'),
+    ('reduce', "a a' b b'", '--steps', '0', '--json'): (2, '98ca42b6abf1ea67'),
+    ('reduce', "a a'", '--steps', '\u00b2'): (2, 'bcaf831b779c0402'),
+    ('reduce', "a a'", '--steps', '\u00b2', '--json'): (2, 'bcaf831b779c0402'),
+    ('sequences', "a a' a a'"): (0, '848d3d849252bcda'),
+    ('sequences', "a a' a a'", '--json'): (0, 'adcc6439cf040926'),
+    ('sequences', ''): (0, '102b51b9765a56a3'),
+    ('sequences', '', '--json'): (0, 'b73ddd3784f7cd8a'),
+    ('sequences', 'a b'): (0, '6e340b9cffb37a98'),
+    ('sequences', 'a b', '--json'): (0, '0b484c1ab2009da9'),
+    ('sequences', 'a a a a a a a a a a a a a'): (2, '26ecf99b67949374'),
+    ('sequences', 'a a a a a a a a a a a a a', '--json'): (2, '26ecf99b67949374'),
+    ('sequences', 'a a a a a a a a a a a a a', '--cap', '13'): (0, '6e340b9cffb37a98'),
+    ('sequences', 'a a a a a a a a a a a a a', '--cap', '13', '--json'): (0, '7340e7f66fc612d8'),
+    ('connect', "a a' a a'", '0,0', '2,0'): (0, '8b02f9272917d5e4'),
+    ('connect', "a a' a a'", '0,0', '2,0', '--json'): (0, 'a2446ae51f082249'),
+    ('connect', "a a' a a' a a'", '0,0,0', '4,2,0'): (0, '0f235f10dbd66d5f'),
+    ('connect', "a a' a a' a a'", '0,0,0', '4,2,0', '--json'): (0, '9e50c540321b4c4c'),
+    ('connect', '', '', ''): (0, '102b51b9765a56a3'),
+    ('connect', '', '', '', '--json'): (0, 'dafc00b75160df02'),
+    ('connect', "a a' b b'", '1,0', '2,0'): (2, '16b7aa2fb1db5dc9'),
+    ('connect', "a a' b b'", '1,0', '2,0', '--json'): (2, '16b7aa2fb1db5dc9'),
+    ('graph', "a a' a a'"): (0, '8e7a253bc937053e'),
+    ('graph', "a a' a a'", '--json'): (0, '7b3c20f8d23ea92b'),
+    ('graph', "a a' a a'", '--dot'): (0, '0f58bd1aac031d9e'),
+    ('graph', "a a' a a'", '--dot', '--json'): (0, '0f58bd1aac031d9e'),
+    ('graph', "a a' b c c' b'", '--dot'): (0, '25b6c0c510ce894d'),
+    ('graph', "a a' b c c' b'", '--dot', '--json'): (0, '25b6c0c510ce894d'),
+    ('graph', 'a b'): (0, 'fbca61b39934b5a7'),
+    ('graph', 'a b', '--json'): (0, '8dbb4d3944504d57'),
+    ('graph', 'a b', '--dot'): (0, '79d37f66895432ef'),
+    ('graph', 'a b', '--dot', '--json'): (0, '79d37f66895432ef'),
+    ('graph', ''): (0, 'a83e20bf4d5089aa'),
+    ('graph', '', '--json'): (0, 'c2b30808fd11a29e'),
+    ('check', '--alphabet', 'a,b', '--max-len', '4'): (0, '8820f04e76e0d6a3'),
+    ('check', '--alphabet', 'a,b', '--max-len', '4', '--json'): (0, 'be2c9c944a938f16'),
+    ('check', '--alphabet', 'a,b,c', '--max-len', '8', '--samples', '5', '--seed', '3'):
+        (0, '41c932977cbebe05'),
+    ('check', '--alphabet', 'a,b,c', '--max-len', '8', '--samples', '5', '--seed', '3', '--json'):
+        (0, '1ffc39c9f3a736c8'),
+    ('check', '--max-len', '0'): (0, '98416cb30d9bde1d'),
+    ('check', '--max-len', '0', '--json'): (0, 'a87c31368a55eb27'),
+    ('check', '--max-len', '13'): (2, '26ecf99b67949374'),
+    ('check', '--max-len', '13', '--json'): (2, '26ecf99b67949374'),
+    ('check', '--samples', '0'): (2, '104bfbdb63090ebf'),
+    ('check', '--samples', '0', '--json'): (2, '104bfbdb63090ebf'),
+    ('check', '--max-len', '-2'): (2, '7fccceed7e31ccc1'),
+    ('check', '--max-len', '-2', '--json'): (2, '7fccceed7e31ccc1'),
+    ('check', '--alphabet', ','): (2, 'b5b1f4921274e131'),
+    ('check', '--alphabet', ',', '--json'): (2, 'b5b1f4921274e131'),
+    ('check', '--alphabet', "a,b''"): (2, '8b8d7e6497f4a64f'),
+    ('check', '--alphabet', "a,b''", '--json'): (2, '8b8d7e6497f4a64f'),
+    ('seeded', 'check', '--alphabet', 'a', '--max-len', '4'): (1, '82e2514e50b663c0'),
+    ('seeded', 'check', '--alphabet', 'a', '--max-len', '4', '--json'): (1, '8f69897d4222e9bb'),
+}
+
+
+def _seed_defects(monkeypatch):
+    # a truncated chain, a move graph without edges and a wrong normal
+    # form: each failure kind of a check report shows up
+    monkeypatch.setattr(oracle, "transform_to", lambda r, s: transform_to(r, s)[:-1])
+    monkeypatch.setattr(oracle, "applicable_moves", lambda r: ())
+    monkeypatch.setattr(oracle, "normal_form", lambda w: ())
+
+
+SEEDED_ARGV = ("check", "--alphabet", "a", "--max-len", "4")
+
+
+def test_cli_outputs_are_pinned(capsys, monkeypatch):
+    table = [argv + flag for argv in PINNED_ARGV for flag in ((), ("--json",))]
+    got = {argv: _pin(*run(capsys, *argv)) for argv in table}
+    _seed_defects(monkeypatch)
+    for flag in ((), ("--json",)):
+        argv = ("seeded",) + SEEDED_ARGV + flag
+        got[argv] = _pin(*run(capsys, *argv[1:]))
+    assert got == PINNED
+
+
+# Exit-code contract: whatever the argv, main ends in 0, 1 or 2 (argparse
+# usage errors count as 2) and never in an exception.  Words stay at most
+# eight items and check at most --max-len 4 and --samples 3, so every
+# example runs in milliseconds.  No subcommand reads move text; step
+# arguments get move-like characters instead.
+
+WORD_TEXT = st.one_of(
+    st.lists(st.sampled_from(["a", "a'", "b", "b'"]), max_size=8).map(" ".join),
+    st.text(st.sampled_from(list("ab' _,1\u00b2")), max_size=16),
+)
+STEP_TEXT = st.one_of(
+    st.lists(st.integers(0, 6), max_size=4).map(lambda steps: ",".join(map(str, steps))),
+    st.text(st.sampled_from(list("0123 ,-x@\u00b2")), max_size=8),
+)
+
+
+def number_text(low, high):
+    return st.one_of(st.integers(low, high).map(str), st.sampled_from(["", "x", "\u00b2", "1.5"]))
+
+
+ALPHABET_TEXT = st.one_of(
+    st.sampled_from(["a", "a,b"]), st.text(st.sampled_from(list("ab,'")), max_size=4)
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(
+        ["nf", "inv", "abel", "sequences", "mul", "eq", "reduce", "connect", "graph", "check"]
+    ))
+    if command in ("mul", "eq"):
+        argv = [command, draw(WORD_TEXT), draw(WORD_TEXT)]
+    elif command == "connect":
+        argv = [command, draw(WORD_TEXT), draw(STEP_TEXT), draw(STEP_TEXT)]
+    elif command == "reduce":
+        argv = [command, draw(WORD_TEXT)]
+        argv += draw(st.sampled_from([[], ["--steps", draw(STEP_TEXT)]]))
+        argv += draw(st.sampled_from([[], ["--trace"]]))
+    elif command == "graph":
+        argv = [command, draw(WORD_TEXT)] + draw(st.sampled_from([[], ["--dot"]]))
+    elif command == "check":
+        argv = [command, "--alphabet", draw(ALPHABET_TEXT), "--max-len", draw(number_text(-2, 4)),
+                "--seed", str(draw(st.integers(0, 99)))]
+        samples = ["--samples", draw(number_text(-1, 3))]
+        argv += draw(st.sampled_from([[], ["--exhaustive"], samples]))
+    else:
+        argv = [command, draw(WORD_TEXT)]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_every_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code in (0, 1, 2)
+    if code != 2 and "--json" in argv and "--dot" not in argv:
+        assert json.loads(out.getvalue())["schema"] == "1"

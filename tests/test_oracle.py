@@ -128,6 +128,19 @@ def test_check_connected_spots_a_gap():
     assert not check_connected(graph)
 
 
+def test_check_connected_rejects_an_edge_leaving_the_node_set():
+    # only a faulty move can produce such an edge; it must not pass
+    graph = MoveGraph(
+        word=w("a a' b b'"),
+        nodes=((0, 0), (2, 0)),
+        adjacency={
+            (0, 0): ((Move(SWAP, 0), (2, 0)), (Move(SWAP, 0), (9, 9))),
+            (2, 0): ((Move(SWAP, 0), (0, 0)),),
+        },
+    )
+    assert not check_connected(graph)
+
+
 def test_check_triviality_witness():
     assert check_triviality_witness(w("a a' b c c' b'"))
     assert check_triviality_witness(w("a a' a a' a a'"))

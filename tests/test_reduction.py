@@ -184,6 +184,23 @@ def test_step_of_index_out_of_range():
         assert info.value.index == index
 
 
+def test_step_of_index_rejects_steps_off_the_word():
+    # a hand-built sequence whose first step lies past the word used to
+    # raise a bare IndexError
+    r = ReductionSequence(w("a a' b b'"), (5, 0))
+    with pytest.raises(InvalidRedex) as info:
+        step_of_index(r, 0)
+    assert (info.value.position, info.value.step) == (5, 0)
+
+
+def test_step_of_index_rejects_steps_that_run_out():
+    # used to raise AssertionError: no step consumes item 2
+    r = ReductionSequence(w("a a' b b'"), (0,))
+    with pytest.raises(IncompleteReduction) as info:
+        step_of_index(r, 2)
+    assert info.value.remainder == w("b b'")
+
+
 @given(sequences())
 def test_step_of_index_pairs_off_the_word(r):
     # every step consumes exactly two original indices

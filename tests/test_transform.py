@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freeword.core import invert, parse_word, signed
-from freeword.errors import InvalidRedex, WordMismatch
+from freeword.errors import FreewordError, IncompleteReduction, InvalidRedex, WordMismatch
 from freeword.moves import Move, apply_chain, render_chain
 from freeword.oracle import all_words, enumerate_sequences, random_reducible_word
-from freeword.reduction import ReductionSequence, apply_step, validate_sequence
+from freeword.reduction import ReductionSequence, apply_step, step_of_index, validate_sequence
 from freeword.transform import drop_redex, extend_reduction, front_reduction, transform_to
 
 
@@ -75,6 +75,64 @@ def test_front_reduction_rejects_non_redex():
         front_reduction(r, 1)
     with pytest.raises(InvalidRedex):
         front_reduction(r, 7)
+
+
+# Hand-built sequences get no validate_sequence on entry (one per call
+# would cost a quarter of transform_to), so steps that run off the word
+# or run out must still end in a FreewordError.
+
+@pytest.mark.parametrize("steps", [(5, 0), (-1, 0)])
+def test_front_reduction_rejects_steps_off_the_word(steps):
+    # used to raise a bare IndexError, or NoOverlap for the negative step
+    r = ReductionSequence(w("a a' b b'"), steps)
+    with pytest.raises(InvalidRedex) as info:
+        front_reduction(r, 0)
+    assert (info.value.position, info.value.step) == (steps[0], 0)
+
+
+def test_transform_to_rejects_steps_off_the_word():
+    # used to raise a bare IndexError
+    r = ReductionSequence(w("a a' b b'"), (5, 0))
+    with pytest.raises(InvalidRedex) as info:
+        transform_to(r, seq("a a' b b'", (0, 0)))
+    assert (info.value.position, info.value.step) == (5, 0)
+
+
+def test_transform_to_rejects_steps_that_run_out():
+    # used to raise AssertionError("a complete sequence consumes every index")
+    r = ReductionSequence(w("a a' b b'"), (0,))
+    with pytest.raises(IncompleteReduction) as info:
+        transform_to(r, seq("a a' b b'", (0, 0)))
+    assert info.value.remainder == w("b b'")
+
+
+def test_transform_to_rejects_a_target_that_stops_early_or_a_start_that_runs_on():
+    # both used to return a chain that does not reach the target
+    r = seq("a a' b b'", (0, 0))
+    with pytest.raises(IncompleteReduction) as info:
+        transform_to(r, ReductionSequence(r.word, (0,)))
+    assert info.value.remainder == w("b b'")
+    with pytest.raises(InvalidRedex) as info:
+        transform_to(ReductionSequence(r.word, (0, 0, 0)), r)
+    assert (info.value.position, info.value.step) == (0, 2)
+
+
+@given(
+    st.lists(st.sampled_from(["a", "a'", "b", "b'"]), max_size=6),
+    st.lists(st.integers(-2, 7), max_size=4),
+    st.lists(st.integers(-2, 7), max_size=4),
+    st.integers(-1, 6),
+)
+def test_hand_built_sequences_fail_only_with_freeword_errors(items, start, target, p):
+    word = w(" ".join(items))
+    r, s = ReductionSequence(word, tuple(start)), ReductionSequence(word, tuple(target))
+    calls = (lambda: front_reduction(r, p), lambda: transform_to(r, s),
+             lambda: step_of_index(r, p))
+    for call in calls:
+        try:
+            call()
+        except FreewordError:
+            pass
 
 
 def test_front_reduction_contract_over_corpus():
