@@ -12,6 +12,7 @@ a failed check), 2 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -225,7 +226,10 @@ def cmd_check(args) -> CommandResult:
     return payload, lines, 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged,
+    # and help text is formatted when it is printed
     parser = argparse.ArgumentParser(
         prog="freeword",
         description="Free group word calculus: normal forms, reduction sequences, moves.",

@@ -158,34 +158,50 @@ def _check_pairs(
     else:
         pairs = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_limit))
     node_set = set(nodes)
+    sequences: dict[Steps, ReductionSequence] = {}
     dist_cache: dict[Steps, dict[Steps, int]] = {}
+    # trail[i] is the start after the first i moves of the previous
+    # chain from the same start.  Chains to neighbouring targets share
+    # long prefixes, and apply_move is pure, so only the moves past the
+    # shared prefix are replayed; a failure inside that prefix recurs,
+    # since the trail stops before the move that failed.
+    trail_start = None
+    trail: list[ReductionSequence] = []
+    previous: tuple[Move, ...] = ()
 
     def fail(start, target, move_index, reason):
         report.failures.append(TransformFailure(word, start, target, move_index, reason))
 
     for start, target in pairs:
         report.pair_count += 1
-        r = ReductionSequence(word, start)
-        s = ReductionSequence(word, target)
+        r = sequences.get(start) or sequences.setdefault(start, ReductionSequence(word, start))
+        s = sequences.get(target) or sequences.setdefault(target, ReductionSequence(word, target))
         chain = transform_to(r, s)
         report.max_chain_length = max(report.max_chain_length, len(chain))
         if len(chain) > bound:
             fail(start, target, None, f"chain length {len(chain)} exceeds bound {bound}")
-        current = r
-        broke = False
-        for idx, move in enumerate(chain):
+        if start != trail_start:
+            trail_start, trail, previous = start, [r], ()
+        shared = 0
+        limit = min(len(chain), len(trail) - 1)
+        while shared < limit and chain[shared] == previous[shared]:
+            shared += 1
+        del trail[shared + 1:]
+        previous = chain
+        current = trail[shared]
+        for idx in range(shared, len(chain)):
             try:
-                current = apply_move(current, move)
+                current = apply_move(current, chain[idx])
             except FreewordError as err:
                 fail(start, target, idx, str(err))
-                broke = True
                 break
             if current.steps not in node_set:
                 fail(start, target, idx, "intermediate sequence is not a known node")
-                broke = True
                 break
-        if not broke and current.steps != target:
-            fail(start, target, None, "chain does not replay to the target")
+            trail.append(current)
+        else:
+            if current.steps != target:
+                fail(start, target, None, "chain does not replay to the target")
         if start not in dist_cache:
             dist_cache[start] = _distances_from(graph, start)
         distance = dist_cache[start].get(target)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .core import Word, is_redex_at
+from .core import Word, invert, is_redex_at
 from .errors import IncompleteReduction, IndexOutOfRange, InvalidRedex, ParseError
 
 
@@ -85,19 +85,25 @@ def step_of_index(r: ReductionSequence, index: int) -> int:
 
     Every index of the original word is consumed by exactly one step of
     a complete sequence.  Tracks the surviving original indices through
-    the steps; desk-scale words keep this cheap.  Steps that run off the
-    word or run out first raise InvalidRedex or IncompleteReduction.
+    the steps; desk-scale words keep this cheap.  A step that runs off
+    the word or removes a pair that does not cancel raises InvalidRedex
+    with its step index; steps that run out first raise
+    IncompleteReduction.
     """
-    if not 0 <= index < len(r.word):
-        raise IndexOutOfRange(index, len(r.word), what="item index")
-    alive = list(range(len(r.word)))
+    w = r.word
+    if not 0 <= index < len(w):
+        raise IndexOutOfRange(index, len(w), what="item index")
+    alive = list(range(len(w)))
     for k, p in enumerate(r.steps):
         if not 0 <= p < len(alive) - 1:
             raise InvalidRedex(p, step=k)
+        x, y = w[alive[p]], w[alive[p + 1]]
+        if y != invert(x):
+            raise InvalidRedex(p, pair=(x, y), step=k)
         if index in (alive[p], alive[p + 1]):
             return k
         del alive[p:p + 2]
-    raise IncompleteReduction(tuple(r.word[i] for i in alive))
+    raise IncompleteReduction(tuple(w[i] for i in alive))
 
 
 def parse_steps(text: str) -> tuple[int, ...]:

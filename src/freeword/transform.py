@@ -34,6 +34,9 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
     """
     if not is_redex_at(word, p):
         raise InvalidRedex(p, pair=_pair_at(word, p))
+    if steps and steps[0] == p:
+        # already in front: the scan would stop at k = 0 with no moves
+        return []
     alive = list(range(len(word)))
     for k, q in enumerate(steps):
         left, right = alive[q], alive[q + 1]

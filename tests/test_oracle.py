@@ -1,12 +1,14 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from freeword import moves, oracle
-from freeword.core import parse_word
-from freeword.errors import CapExceeded
+from freeword.core import parse_word, render_word
+from freeword.errors import CapExceeded, NotIndependent
 from freeword.group import normal_form
-from freeword.moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move
+from freeword.moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move, apply_move
 from freeword.oracle import (
     DEFAULT_CAP,
     MoveGraph,
@@ -264,14 +266,94 @@ def overlap_target_off_by_one(before, p, direction):
 ORIGINAL_OVERLAP_TARGET = moves._overlap_target
 
 
-@pytest.mark.parametrize("module,name,defect", [
+SEEDED_DEFECTS = [
     (oracle, "transform_to", truncating_transform_to),
     (moves, "swap", swap_without_shift),
     (moves, "_overlap_target", overlap_target_off_by_one),
-])
+]
+
+
+@pytest.mark.parametrize("module,name,defect", SEEDED_DEFECTS)
 def test_check_corpus_reports_seeded_defects(monkeypatch, module, name, defect):
     assert check_corpus(SELF_TEST_WORDS).ok
     monkeypatch.setattr(module, name, defect)
     report = check_corpus(SELF_TEST_WORDS)
     assert not report.ok
     assert report.words_checked == len(SELF_TEST_WORDS)
+
+
+# Count and sha256 of every transform failure (word, start, target,
+# move index, reason) that check_corpus(SELF_TEST_WORDS) reports under
+# each seeded defect, recorded while every chain was still replayed from
+# its start.  Replaying only past the prefix a chain shares with the
+# previous one must report the very same failures, in the same order.
+PINNED_FAILURES = {
+    "transform_to": (4872, "8aa5f1d6cec88b71d4e6940a40f26d0f06f1a137610451c8190b156675ac5ad6"),
+    "swap": (6712, "c38de5441588260c40b9fcfc51160d7e03f4fde69ed60d4427f5dbb44305b732"),
+    "_overlap_target": (4048, "596226b140969c9df79d124d1b2f99e39ce88570376b832c90aac92917a1d43e"),
+}
+
+
+@pytest.mark.parametrize("module,name,defect", SEEDED_DEFECTS)
+def test_seeded_defect_failures_are_pinned(monkeypatch, module, name, defect):
+    monkeypatch.setattr(module, name, defect)
+    failures = check_corpus(SELF_TEST_WORDS).transform_failures
+    text = "\n".join(
+        json.dumps([render_word(f.word), list(f.start), list(f.target), f.move_index, f.reason])
+        for f in failures
+    )
+    assert (len(failures), hashlib.sha256(text.encode()).hexdigest()) == PINNED_FAILURES[name]
+
+
+def swap_refusing_step_zero(r, i):
+    # calls every pair of steps 0 and 1 nested
+    if i == 0:
+        raise NotIndependent(0, r.steps[0], r.steps[1])
+    return ORIGINAL_SWAP(r, i)
+
+
+ORIGINAL_SWAP = moves.swap
+
+
+def test_check_pairs_reports_a_failure_inside_a_shared_prefix(monkeypatch):
+    # from (0, 0, 0) the chains to the consecutive targets (4, 0, 0) and
+    # (4, 2, 0) are swap@1,swap@0 and swap@1,swap@0,swap@1; the second
+    # pair replays only past the shared prefix, which holds the broken move
+    graph = build_move_graph(w("a a' b b' c c'"))
+    start, first, second = (0, 0, 0), (4, 0, 0), (4, 2, 0)
+    assert graph.nodes.index(second) == graph.nodes.index(first) + 1
+    monkeypatch.setattr(moves, "swap", swap_refusing_step_zero)
+    report = oracle._check_pairs(graph, None, random.Random(0))
+    broken = {
+        f.target: (f.move_index, f.reason)
+        for f in report.failures
+        if f.start == start and f.move_index is not None
+    }
+    reason = "steps 0 and 1 are nested (positions 0, 2), not independent"
+    assert broken[first] == broken[second] == (1, reason)
+
+
+def test_check_pairs_replays_only_past_the_shared_prefix(monkeypatch):
+    graph = build_move_graph(w("a a' a a' b b'"))
+    calls = []
+
+    def counting_apply_move(r, move):
+        calls.append(move)
+        return apply_move(r, move)
+
+    monkeypatch.setattr(oracle, "apply_move", counting_apply_move)
+    report = oracle._check_pairs(graph, None, random.Random(0))
+    assert report.ok
+    total = unshared = 0
+    for start in graph.nodes:
+        r = ReductionSequence(graph.word, start)
+        previous = ()
+        for target in graph.nodes:
+            chain = transform_to(r, ReductionSequence(graph.word, target))
+            shared = 0
+            while shared < min(len(chain), len(previous)) and chain[shared] == previous[shared]:
+                shared += 1
+            total += len(chain)
+            unshared += len(chain) - shared
+            previous = chain
+    assert len(calls) == unshared < total

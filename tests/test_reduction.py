@@ -193,6 +193,17 @@ def test_step_of_index_rejects_steps_off_the_word():
     assert (info.value.position, info.value.step) == (5, 0)
 
 
+def test_step_of_index_rejects_steps_that_are_not_redexes():
+    # "a b a' b'" has no reduction; step 0 removes "b a'", which does not
+    # cancel, and step 1 used to be returned for item 0 all the same
+    r = ReductionSequence(w("a b a' b'"), (1, 0))
+    for index in range(4):
+        with pytest.raises(InvalidRedex) as info:
+            step_of_index(r, index)
+        assert (info.value.position, info.value.step) == (1, 0)
+        assert info.value.pair == (w("b")[0], w("a'")[0])
+
+
 def test_step_of_index_rejects_steps_that_run_out():
     # used to raise AssertionError: no step consumes item 2
     r = ReductionSequence(w("a a' b b'"), (0,))
