@@ -97,7 +97,12 @@ def check_connected(graph: MoveGraph) -> bool:
     """BFS from the first node; true iff at most one component (so
     vacuously true for irreducible words).  An edge leading out of the
     node set, which only a faulty move can produce, also makes it false."""
-    return not graph.nodes or _distances_from(graph, graph.nodes[0]).keys() == set(graph.nodes)
+    if not graph.nodes:
+        return True
+    start = graph.nodes[0]
+    dist = {start: 0}
+    _search(graph, dist, deque([start]), None)
+    return dist.keys() == set(graph.nodes)
 
 
 def check_triviality_witness(w: Word, cap: int = DEFAULT_CAP) -> bool:
@@ -108,16 +113,23 @@ def check_triviality_witness(w: Word, cap: int = DEFAULT_CAP) -> bool:
     return check_connected(build_move_graph(w, cap))
 
 
-def _distances_from(graph: MoveGraph, start: Steps) -> dict[Steps, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
+def _search(
+    graph: MoveGraph, dist: dict[Steps, int], queue: deque, target: Steps | None
+) -> int | None:
+    """Resume the breadth-first search held in dist and queue until
+    target has a distance or the queue is empty; return that distance,
+    or None if target is unreachable.  A node's distance is fixed when
+    it is first found, so every distance in dist is exact; target None
+    drains the search.  Nodes outside the graph have no edges."""
+    adjacency = graph.adjacency
+    while queue and target not in dist:
         node = queue.popleft()
-        for _, other in graph.adjacency.get(node, ()):
+        step = dist[node] + 1
+        for _, other in adjacency.get(node, ()):
             if other not in dist:
-                dist[other] = dist[node] + 1
+                dist[other] = step
                 queue.append(other)
-    return dist
+    return dist.get(target)
 
 
 @dataclass
@@ -159,7 +171,6 @@ def _check_pairs(
         pairs = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_limit))
     node_set = set(nodes)
     sequences: dict[Steps, ReductionSequence] = {}
-    dist_cache: dict[Steps, dict[Steps, int]] = {}
     # trail[i] is the start after the first i moves of the previous
     # chain from the same start.  Chains to neighbouring targets share
     # long prefixes, and apply_move is pure, so only the moves past the
@@ -168,6 +179,10 @@ def _check_pairs(
     trail_start = None
     trail: list[ReductionSequence] = []
     previous: tuple[Move, ...] = ()
+    # one breadth-first search per start, reset with the trail: each
+    # pair resumes it only until its target has a distance
+    dist: dict[Steps, int] = {}
+    queue: deque[Steps] = deque()
 
     def fail(start, target, move_index, reason):
         report.failures.append(TransformFailure(word, start, target, move_index, reason))
@@ -182,6 +197,7 @@ def _check_pairs(
             fail(start, target, None, f"chain length {len(chain)} exceeds bound {bound}")
         if start != trail_start:
             trail_start, trail, previous = start, [r], ()
+            dist, queue = {start: 0}, deque([start])
         shared = 0
         limit = min(len(chain), len(trail) - 1)
         while shared < limit and chain[shared] == previous[shared]:
@@ -202,9 +218,7 @@ def _check_pairs(
         else:
             if current.steps != target:
                 fail(start, target, None, "chain does not replay to the target")
-        if start not in dist_cache:
-            dist_cache[start] = _distances_from(graph, start)
-        distance = dist_cache[start].get(target)
+        distance = _search(graph, dist, queue, target)
         if distance is None:
             fail(start, target, None, "target unreachable by single moves")
         else:
@@ -224,8 +238,11 @@ def check_transform_chain(
     sample that many pairs instead (seeded rng for reproducibility).
     Each pair must replay from start to target through known nodes
     within the k(k+1)/2 + k length bound, and the target must also be
-    reachable by BFS, whose distance is reported alongside the chain
-    length for comparison.
+    reachable by single moves.  Its BFS distance, reported alongside
+    the chain length for comparison, comes from one search per start
+    that each pair resumes only until its target is found; pairs arrive
+    start by start when exhaustive, so no node is expanded twice for one
+    start, and a sampled pair stops at its target's layer.
     """
     return _check_pairs(build_move_graph(w, cap), pair_limit, rng or random.Random(0))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import SignedGenerator, Word, invert, is_redex_at
 from .errors import IncompleteReduction, InvalidRedex, NoOverlap, NotIndependent, WordMismatch
 from .moves import LEFT, OVERLAP_LEFT, OVERLAP_RIGHT, RIGHT, SWAP, Move, MoveChain
-from .reduction import ReductionSequence, _pair_at, apply_step
+from .reduction import ReductionSequence, _pair_at, apply_step, validate_sequence
 
 
 def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
@@ -89,9 +89,19 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
     at most one overlap switch, on the first step to consume item p or
     p+1, followed by the swaps bubbling that step to the front, so its
     length is at most the number of steps.
+
+    r is not validated on the way in.  A hand-built r with a step that
+    lies in the word but is not a redex raises InvalidRedex naming that
+    step when it makes a move fail; but the scan reads only the steps up
+    to the one consuming p, so such an r can also come back rewritten
+    without an error.  Use validate_sequence to check a sequence whole.
     """
     steps = _step_list(r)
-    moves = _front(r.word, steps, p, 0)
+    try:
+        moves = _front(r.word, steps, p, 0)
+    except (NoOverlap, NotIndependent):
+        validate_sequence(r.word, r.steps)  # names a step that is no redex
+        raise
     return tuple(moves), ReductionSequence(r.word, tuple(steps))
 
 
@@ -114,10 +124,17 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     chain: list[Move] = []
     word = r.word
     steps = _step_list(r)
-    for level, p in enumerate(s.steps):
-        chain += _front(word, steps, p, level)
-        word = word[:p] + word[p + 2:]
-        del steps[0]
+    try:
+        for level, p in enumerate(s.steps):
+            chain += _front(word, steps, p, level)
+            word = word[:p] + word[p + 2:]
+            del steps[0]
+    except (NoOverlap, NotIndependent):
+        # _front never refuses a move of a complete reduction, so the
+        # start is checked here, off the path valid pairs take, to name
+        # the step that is not a redex
+        validate_sequence(r.word, r.steps)
+        raise
     if word:
         raise IncompleteReduction(word)
     return tuple(chain)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -357,3 +358,117 @@ def test_check_pairs_replays_only_past_the_shared_prefix(monkeypatch):
             unshared += len(chain) - shared
             previous = chain
     assert len(calls) == unshared < total
+
+
+# One-letter 12-letter words of the graph-large kind: the first has
+# 2,052 sequences, the second 150, few enough to check every pair.
+LARGE_WORD = "a a' a' a a' a a a' a a' a' a"
+EXHAUSTIVE_WORD = "a a a a' a' a' a a a' a' a' a"
+
+
+def full_bfs(graph, start):
+    # reference: every distance from start, the whole graph searched
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for _, other in graph.adjacency.get(node, ()):
+            if other not in dist:
+                dist[other] = dist[node] + 1
+                queue.append(other)
+    return dist
+
+
+def record_pairs(monkeypatch):
+    # the (start, target) of every checked pair, in order: each pair
+    # calls transform_to once, before its distance is looked up
+    pairs = []
+
+    def recording_transform_to(r, s):
+        pairs.append((r.steps, s.steps))
+        return transform_to(r, s)
+
+    monkeypatch.setattr(oracle, "transform_to", recording_transform_to)
+    return pairs
+
+
+@pytest.mark.parametrize("text,pair_limit,seed", [
+    (EXHAUSTIVE_WORD, None, 0),
+    (LARGE_WORD, 50, 0),
+    (LARGE_WORD, 50, 1),
+    (LARGE_WORD, 50, 2),
+])
+def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, pair_limit, seed):
+    graph = build_move_graph(w(text))
+    pairs = record_pairs(monkeypatch)
+    distances = []
+    search = oracle._search
+
+    def recording_search(*args):
+        distances.append(search(*args))
+        return distances[-1]
+
+    monkeypatch.setattr(oracle, "_search", recording_search)
+    report = oracle._check_pairs(graph, pair_limit, random.Random(seed))
+    assert report.ok
+    assert report.pair_count == len(pairs) == (pair_limit or len(graph.nodes) ** 2)
+    reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
+    expected = [reference[start][target] for start, target in pairs]
+    assert distances == expected
+    assert report.max_bfs_distance == max(expected)
+
+
+def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch):
+    # (0, 0) -> (1, 0) is one-way, and (2, 0) has an edge leaving the
+    # node set; only faulty moves make such graphs
+    graph = MoveGraph(
+        word=w("a a' a a'"),
+        nodes=((0, 0), (1, 0), (2, 0)),
+        adjacency={
+            (0, 0): ((Move(OVERLAP_RIGHT, 0), (1, 0)),),
+            (1, 0): ((Move(OVERLAP_RIGHT, 0), (2, 0)),),
+            (2, 0): ((Move(OVERLAP_LEFT, 0), (1, 0)), (Move(SWAP, 0), (9, 9))),
+        },
+    )
+    reason = "target unreachable by single moves"
+    pairs = record_pairs(monkeypatch)
+    for pair_limit, seed in [(None, 0), (5, 0), (8, 1), (8, 2)]:
+        del pairs[:]
+        report = oracle._check_pairs(graph, pair_limit, random.Random(seed))
+        reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
+        unreachable = [(s, t, reason) for s, t in pairs if t not in reference[s]]
+        assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
+        assert report.max_bfs_distance == max(
+            reference[s][t] for s, t in pairs if t in reference[s])
+        if pair_limit is None:
+            assert unreachable == [((1, 0), (0, 0), reason), ((2, 0), (0, 0), reason)]
+
+
+class CountingAdjacency(dict):
+    """Adjacency that logs every node the search expands, together with
+    the start of the pair being checked."""
+
+    def __init__(self, adjacency, pairs):
+        super().__init__(adjacency)
+        self.pairs = pairs
+        self.log = []
+
+    def get(self, node, default=None):
+        self.log.append((self.pairs[-1][0], node))
+        return super().get(node, default)
+
+
+def test_check_pairs_search_stops_at_the_target(monkeypatch):
+    pairs = record_pairs(monkeypatch)
+    graph = build_move_graph(w(LARGE_WORD))
+    graph.adjacency = adjacency = CountingAdjacency(graph.adjacency, pairs)
+    assert oracle._check_pairs(graph, 50, random.Random(0)).ok
+    # a full BFS expands every node of this connected graph once
+    assert len(adjacency.log) < len({s for s, _ in pairs}) * len(graph.nodes)
+
+    del pairs[:]
+    graph = build_move_graph(w(EXHAUSTIVE_WORD))
+    graph.adjacency = adjacency = CountingAdjacency(graph.adjacency, pairs)
+    assert oracle._check_pairs(graph, None, random.Random(0)).ok
+    # exhaustive pairs come start by start: no node is expanded twice for one start
+    assert len(set(adjacency.log)) == len(adjacency.log)

@@ -117,6 +117,20 @@ def test_transform_to_rejects_a_target_that_stops_early_or_a_start_that_runs_on(
     assert (info.value.position, info.value.step) == (0, 2)
 
 
+@pytest.mark.parametrize("text,start,call,step", [
+    ("a a' b b'", (1, 0), lambda r: front_reduction(r, 0), 0),
+    ("a a' b b'", (1, 0), lambda r: front_reduction(r, 2), 0),
+    ("a a' b b'", (1, 0), lambda r: transform_to(r, seq("a a' b b'", (0, 0))), 0),
+    ("a a' b a' a b'", (0, 2, 0), lambda r: transform_to(r, seq("a a' b a' a b'", (0, 1, 0))), 1),
+], ids=["front-left", "front-right", "transform_to", "transform_to-level-1"])
+def test_steps_in_the_word_that_are_not_redexes_are_named(text, start, call, step):
+    # used to raise NoOverlap, which blames a move rather than the step
+    r = ReductionSequence(w(text), start)
+    with pytest.raises(InvalidRedex) as info:
+        call(r)
+    assert (info.value.position, info.value.step) == (start[step], step)
+
+
 @given(
     st.lists(st.sampled_from(["a", "a'", "b", "b'"]), max_size=6),
     st.lists(st.integers(-2, 7), max_size=4),
