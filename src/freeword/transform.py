@@ -30,7 +30,7 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
     first.  Each move is done as arithmetic on the list, with the
     checks of swap and overlap_switch.  Steps that run out before
     consuming p raise IncompleteReduction; steps off the word are caught
-    once per call by _step_list.
+    once per call by the caller.
     """
     if not is_redex_at(word, p):
         raise InvalidRedex(p, pair=_pair_at(word, p))
@@ -90,19 +90,22 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
     p+1, followed by the swaps bubbling that step to the front, so its
     length is at most the number of steps.
 
-    r is not validated on the way in.  A hand-built r with a step that
-    lies in the word but is not a redex raises InvalidRedex naming that
-    step when it makes a move fail; but the scan reads only the steps up
-    to the one consuming p, so such an r can also come back rewritten
-    without an error.  Use validate_sequence to check a sequence whole.
+    r is validated whole on the way in: a hand-built r whose steps are
+    not a complete reduction raises InvalidRedex naming the first step
+    that is not a redex, or IncompleteReduction if the steps run out,
+    even where the bad step comes after the one consuming p.
     """
-    steps = _step_list(r)
-    try:
-        moves = _front(r.word, steps, p, 0)
-    except (NoOverlap, NotIndependent):
-        validate_sequence(r.word, r.steps)  # names a step that is no redex
-        raise
+    validate_sequence(r.word, r.steps)
+    steps = list(r.steps)
+    moves = _front(r.word, steps, p, 0)
     return tuple(moves), ReductionSequence(r.word, tuple(steps))
+
+
+# The previous successful transform_to call, published by one assignment
+# and never mutated: (start, target steps, chain, levels).  levels[j] is
+# (steps, word, chain length) after j levels, or None when the start
+# was new, since most starts are used once.
+_memo: tuple | None = None
 
 
 def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
@@ -114,21 +117,46 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     Moves found at level j apply past the j fixed steps, so their step
     indices are lifted by j.  The chain is correct, not minimal:
     apply_chain(r, result) == s, with length at most k(k+1)/2 + k for
-    k steps.  r == s still runs the full pass and may return a nonempty
-    chain that replays to r itself.
+    k steps.  r == s may return a nonempty chain that replays to r
+    itself.
+
+    The state after level j depends only on r and the first j steps of
+    s, so one slot keeps the previous successful call.  A call from the
+    same start as that call takes a snapshot after every level, and the
+    next call from that start resumes after the deepest level its target
+    shares with the stored target, keeping the chain up to there.
+    Results and errors are those of a call from scratch.
     """
+    global _memo
     if r.word != s.word:
         raise WordMismatch(
             f"sequences reduce different words ({len(r.word)} and {len(s.word)} items)"
         )
-    chain: list[Move] = []
-    word = r.word
-    steps = _step_list(r)
+    target = s.steps
+    memo = _memo
+    if memo is None or memo[0] != r:
+        level, word, steps, chain, levels = 0, r.word, _step_list(r), [], None
+    else:
+        # the same start already passed _step_list in a call that completed
+        _, previous, old_chain, levels = memo
+        level = 0
+        if levels is None:
+            levels = [(r.steps, r.word, 0)]
+        else:
+            limit = min(len(target), len(previous))
+            while level < limit and target[level] == previous[level]:
+                level += 1
+            levels = levels[:level + 1]  # a copy: published levels never change
+        kept, word, length = levels[level]
+        steps, chain = list(kept), list(old_chain[:length])
     try:
-        for level, p in enumerate(s.steps):
+        for level in range(level, len(target)):
+            p = target[level]
             chain += _front(word, steps, p, level)
             word = word[:p] + word[p + 2:]
             del steps[0]
+            if levels is not None:
+                levels.append((tuple(steps), word, len(chain)))
     except (NoOverlap, NotIndependent):
         # _front never refuses a move of a complete reduction, so the
         # start is checked here, off the path valid pairs take, to name
@@ -137,7 +165,9 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
         raise
     if word:
         raise IncompleteReduction(word)
-    return tuple(chain)
+    result = tuple(chain)
+    _memo = (r, target, result, levels)
+    return result
 
 
 def extend_reduction(

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from freeword import moves, oracle
+from freeword import moves, oracle, transform
 from freeword.core import parse_word, render_word
 from freeword.errors import CapExceeded, NotIndependent
 from freeword.group import normal_form
@@ -267,17 +267,33 @@ def overlap_target_off_by_one(before, p, direction):
 ORIGINAL_OVERLAP_TARGET = moves._overlap_target
 
 
+def front_without_lift(word, steps, p, lift):
+    # moves found past level 0 keep the step indices of the shorter word
+    return ORIGINAL_FRONT(word, steps, p, 0)
+
+
+ORIGINAL_FRONT = transform._front
+
+
 SEEDED_DEFECTS = [
     (oracle, "transform_to", truncating_transform_to),
     (moves, "swap", swap_without_shift),
     (moves, "_overlap_target", overlap_target_off_by_one),
+    (transform, "_front", front_without_lift),
 ]
+
+
+def patch_with_cold_memo(monkeypatch, module, name, value):
+    # transform_to's memo may hold levels of an earlier call: start cold,
+    # and restore it afterwards so no patched level outlives the test
+    monkeypatch.setattr(transform, "_memo", None)
+    monkeypatch.setattr(module, name, value)
 
 
 @pytest.mark.parametrize("module,name,defect", SEEDED_DEFECTS)
 def test_check_corpus_reports_seeded_defects(monkeypatch, module, name, defect):
     assert check_corpus(SELF_TEST_WORDS).ok
-    monkeypatch.setattr(module, name, defect)
+    patch_with_cold_memo(monkeypatch, module, name, defect)
     report = check_corpus(SELF_TEST_WORDS)
     assert not report.ok
     assert report.words_checked == len(SELF_TEST_WORDS)
@@ -292,12 +308,13 @@ PINNED_FAILURES = {
     "transform_to": (4872, "8aa5f1d6cec88b71d4e6940a40f26d0f06f1a137610451c8190b156675ac5ad6"),
     "swap": (6712, "c38de5441588260c40b9fcfc51160d7e03f4fde69ed60d4427f5dbb44305b732"),
     "_overlap_target": (4048, "596226b140969c9df79d124d1b2f99e39ce88570376b832c90aac92917a1d43e"),
+    "_front": (2904, "59c0cf9236359146098b7dedf6ab2b14463f0a2b6c9b2154f7876d43c532bcc5"),
 }
 
 
 @pytest.mark.parametrize("module,name,defect", SEEDED_DEFECTS)
 def test_seeded_defect_failures_are_pinned(monkeypatch, module, name, defect):
-    monkeypatch.setattr(module, name, defect)
+    patch_with_cold_memo(monkeypatch, module, name, defect)
     failures = check_corpus(SELF_TEST_WORDS).transform_failures
     text = "\n".join(
         json.dumps([render_word(f.word), list(f.start), list(f.target), f.move_index, f.reason])
@@ -334,6 +351,10 @@ def test_check_pairs_reports_a_failure_inside_a_shared_prefix(monkeypatch):
     assert broken[first] == broken[second] == (1, reason)
 
 
+# the 180-sequence word of the sweep workload's first seed
+SWEEP_WORD = "b b' b b' c c' a b c c' b' a'"
+
+
 def test_check_pairs_replays_only_past_the_shared_prefix(monkeypatch):
     graph = build_move_graph(w("a a' a a' b b'"))
     calls = []
@@ -358,6 +379,32 @@ def test_check_pairs_replays_only_past_the_shared_prefix(monkeypatch):
             unshared += len(chain) - shared
             previous = chain
     assert len(calls) == unshared < total
+
+
+def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
+    graph = build_move_graph(w(SWEEP_WORD))
+    calls = []
+
+    def counting_front(word, steps, p, lift):
+        calls.append(lift)
+        return ORIGINAL_FRONT(word, steps, p, lift)
+
+    patch_with_cold_memo(monkeypatch, transform, "_front", counting_front)
+    assert oracle._check_pairs(graph, None, random.Random(0)).ok
+    # per start, the first call (a new start) and the second (which takes
+    # the level snapshots) run every level; each later call runs only the
+    # levels past the prefix its target shares with the previous target
+    k = len(graph.word) // 2
+    expected = 0
+    for start in graph.nodes:
+        for i, target in enumerate(graph.nodes):
+            shared = 0
+            if i >= 2:
+                previous = graph.nodes[i - 1]
+                while shared < k and target[shared] == previous[shared]:
+                    shared += 1
+            expected += k - shared
+    assert len(calls) == expected < k * len(graph.nodes) ** 2
 
 
 # One-letter 12-letter words of the graph-large kind: the first has

@@ -1,11 +1,14 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freeword import transform
 from freeword.core import invert, parse_word, signed
 from freeword.errors import FreewordError, IncompleteReduction, InvalidRedex, WordMismatch
 from freeword.moves import Move, apply_chain, render_chain
@@ -77,9 +80,10 @@ def test_front_reduction_rejects_non_redex():
         front_reduction(r, 7)
 
 
-# Hand-built sequences get no validate_sequence on entry (one per call
-# would cost a quarter of transform_to), so steps that run off the word
-# or run out must still end in a FreewordError.
+# A hand-built start gets no validate_sequence on entry to transform_to
+# (one per call would cost a quarter of it), so steps that run off the
+# word or run out must still end in a FreewordError; front_reduction
+# validates its start whole.
 
 @pytest.mark.parametrize("steps", [(5, 0), (-1, 0)])
 def test_front_reduction_rejects_steps_off_the_word(steps):
@@ -129,6 +133,21 @@ def test_steps_in_the_word_that_are_not_redexes_are_named(text, start, call, ste
     with pytest.raises(InvalidRedex) as info:
         call(r)
     assert (info.value.position, info.value.step) == (start[step], step)
+
+
+@pytest.mark.parametrize("text,start,p,error,fields", [
+    ("a a' b b' c c'", (0, 1, 0), 0, InvalidRedex, {"position": 1, "step": 1}),
+    ("a a' b b' c c'", (2, 1, 0), 2, InvalidRedex, {"position": 1, "step": 1}),
+    ("a a' b b' c c' d d'", (2, 0, 1, 0), 0, InvalidRedex, {"position": 1, "step": 2}),
+    ("a a' b b' c c'", (0, 0), 0, IncompleteReduction, {"remainder": w("c c'")}),
+], ids=["p-first", "p-first-right", "after-a-swap", "runs-out"])
+def test_front_reduction_rejects_bad_steps_past_the_one_consuming_p(text, start, p, error, fields):
+    # each used to come back rewritten without an error, since the scan
+    # stops at the step consuming p
+    r = ReductionSequence(w(text), start)
+    with pytest.raises(error) as info:
+        front_reduction(r, p)
+    assert {name: getattr(info.value, name) for name in fields} == fields
 
 
 @given(
@@ -228,6 +247,119 @@ def test_transform_to_chains_are_pinned():
                 pairs += 1
     assert pairs == GOLDEN_CHAINS_PAIRS
     assert digest.hexdigest() == GOLDEN_CHAINS_SHA256
+
+
+# transform_to keeps the levels of its previous call from the same
+# start; every call must return, or raise, what a call from scratch does.
+
+MEMO_WORDS = [w(text) for text in (
+    "a a' b b' c c'", "a a' a a' a a'", "b b' b b' c c' a b c c' b' a'",
+)]
+MEMO_NODES = [enumerate_sequences(word) for word in MEMO_WORDS]
+
+
+def outcome(r, s):
+    try:
+        return transform_to(r, s)
+    except FreewordError as err:
+        return type(err), str(err), vars(err)
+
+
+def cold_outcome(r, s):
+    transform._memo = None
+    return outcome(r, s)
+
+
+def replace_step(steps, at, value):
+    at %= len(steps) or 1
+    return steps[:at] + (value,) + steps[at + 1:]
+
+
+@st.composite
+def memo_calls(draw):
+    # runs of targets from few starts, interleaved across words, so starts
+    # repeat both back to back and after other starts
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, len(MEMO_WORDS) - 1))
+        nodes = MEMO_NODES[i]
+        r = nodes[draw(st.integers(0, 2))]
+        for _ in range(draw(st.integers(1, 6))):
+            s = nodes[draw(st.integers(0, len(nodes) - 1))]
+            at, value = draw(st.integers(0, 8)), draw(st.integers(-1, len(r.word)))
+            kind = draw(st.sampled_from(
+                ["pair"] * 6 + ["mismatch", "early", "runs-on", "bad-start", "bad-target"]))
+            if kind == "mismatch":
+                s = MEMO_NODES[(i + 1) % len(MEMO_WORDS)][0]
+            elif kind == "early":
+                s = ReductionSequence(s.word, s.steps[:-1])
+            elif kind == "runs-on":
+                s = ReductionSequence(s.word, s.steps + (value,))
+            elif kind == "bad-start":
+                # kept for the rest of the run, so such starts repeat too
+                r = ReductionSequence(r.word, replace_step(r.steps, at, value))
+            elif kind == "bad-target":
+                s = ReductionSequence(s.word, replace_step(s.steps, at, value))
+            calls.append((r, s))
+    return calls
+
+
+@given(memo_calls())
+def test_transform_to_with_the_memo_matches_cold_calls(calls):
+    transform._memo = None
+    warm = [outcome(r, s) for r, s in calls]
+    assert warm == [cold_outcome(r, s) for r, s in calls]
+
+
+def test_transform_to_memo_holds_one_call_of_immutable_values():
+    transform._memo = None
+    nodes = MEMO_NODES[2]
+    k = len(nodes[0].steps)
+    r = nodes[5]
+    for s in nodes[:3]:
+        chain = transform_to(r, s)
+    start, target, stored, levels = transform._memo
+    assert (start, target, stored) == (r, nodes[2].steps, chain)
+    # the caller's chain and every snapshot, one per level, are tuples
+    assert type(chain) is tuple
+    assert len(levels) == k + 1
+    assert all(type(kept) is tuple and type(word) is tuple for kept, word, _ in levels)
+    assert levels[-1] == ((), (), len(chain))
+    transform_to(nodes[6], nodes[0])
+    assert transform._memo[3] is None  # a new start keeps no levels
+
+
+def test_transform_to_from_two_threads_matches_cold_calls():
+    # both threads take the same starts, one at a time, and split its
+    # targets, so each keeps resuming from levels the other published
+    nodes = MEMO_NODES[2]
+    starts = nodes[:8]
+    jobs = [[[(r, s) for s in nodes[n::2]] for r in starts] for n in (0, 1)]
+    expected = [[[cold_outcome(r, s) for r, s in calls] for calls in job] for job in jobs]
+    results = [[], []]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def run(n):
+        try:
+            for calls in jobs[n]:
+                barrier.wait()
+                results[n].append([outcome(r, s) for r, s in calls])
+        except BaseException:
+            barrier.abort()  # do not leave the other thread waiting
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(n,)) for n in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
 
 
 def test_extend_reduction_prepends_the_inserted_pair():
