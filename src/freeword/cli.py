@@ -179,13 +179,15 @@ def cmd_check(args) -> CommandResult:
         raise ParseError("--max-len must not be negative", token=str(args.max_len))
     if args.samples is not None and args.samples < 1:
         raise ParseError("--samples must be at least 1", token=str(args.samples))
+    if args.samples is not None and args.max_len < 2:
+        # a sampled word has at least one cancelling pair
+        raise ParseError("--max-len must be at least 2 with --samples", token=str(args.max_len))
     if args.max_len > args.cap:
         raise CapExceeded(args.max_len, args.cap)
     if args.samples is not None:
         rng = random.Random(args.seed)
-        max_pairs = max(args.max_len // 2, 1)
         words = [
-            random_reducible_word(names, rng.randint(1, max_pairs), rng)
+            random_reducible_word(names, rng.randint(1, args.max_len // 2), rng)
             for _ in range(args.samples)
         ]
         mode = "samples"

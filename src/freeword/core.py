@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -45,18 +45,13 @@ def signed(name: str, sign: int = POSITIVE) -> SignedGenerator:
     if not _IDENT.fullmatch(name):
         raise ParseError("not a valid generator name", token=name)
     if sign not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"sign must be {POSITIVE} or {NEGATIVE}, got {sign!r}")
+        raise InvalidArgument(f"sign must be {POSITIVE} or {NEGATIVE}, got {sign!r}")
     return SignedGenerator(name, sign)
 
 
 def invert(item: SignedGenerator) -> SignedGenerator:
     """Flip the sign, keep the name.  An involution: invert(invert(s)) == s."""
     return SignedGenerator(item.name, -item.sign)
-
-
-def concat(x: Word, y: Word) -> Word:
-    """Join two words.  Associative, with the empty word as unit."""
-    return x + y
 
 
 def is_redex_at(w: Word, p: int) -> bool:

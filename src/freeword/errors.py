@@ -25,6 +25,11 @@ class FreewordError(Exception):
         return text
 
 
+class InvalidArgument(FreewordError, ValueError):
+    """An argument outside its allowed values: a sign, an overlap
+    direction or a move kind.  Also a ValueError, as for the builtins."""
+
+
 class ParseError(FreewordError):
     """Malformed word, sequence, or move text."""
 

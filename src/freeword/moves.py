@@ -21,8 +21,10 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .core import Word
-from .errors import FreewordError, IndexOutOfRange, NoOverlap, NotIndependent, ParseError
-from .reduction import ReductionSequence, run_sequence, word_before_step
+from .errors import (
+    FreewordError, IndexOutOfRange, InvalidArgument, NoOverlap, NotIndependent, ParseError,
+)
+from .reduction import ReductionSequence, run_sequence
 
 SWAP = "swap"
 OVERLAP_LEFT = "ovl"
@@ -79,7 +81,7 @@ def _overlap_target(before: Word, p: int, direction: str) -> int | None:
         if p >= 1 and before[p - 1] == before[p + 1]:
             return p - 1
         return None
-    raise ValueError(f"direction must be {LEFT!r} or {RIGHT!r}, got {direction!r}")
+    raise InvalidArgument(f"direction must be {LEFT!r} or {RIGHT!r}, got {direction!r}")
 
 
 def overlap_switch(r: ReductionSequence, i: int, direction: str) -> ReductionSequence:
@@ -93,7 +95,7 @@ def overlap_switch(r: ReductionSequence, i: int, direction: str) -> ReductionSeq
     steps = r.steps
     if not 0 <= i < len(steps):
         raise IndexOutOfRange(i, len(steps))
-    before = word_before_step(r, i)
+    before = run_sequence(ReductionSequence(r.word, steps[:i]))[-1]
     target = _overlap_target(before, steps[i], direction)
     if target is None:
         raise NoOverlap(i, steps[i], direction)
@@ -108,7 +110,7 @@ def apply_move(r: ReductionSequence, move: Move) -> ReductionSequence:
         return swap(r, move.at)
     if move.kind in _DIRECTION_OF:
         return overlap_switch(r, move.at, _DIRECTION_OF[move.kind])
-    raise ValueError(f"unknown move kind {move.kind!r}")
+    raise InvalidArgument(f"unknown move kind {move.kind!r}")
 
 
 def apply_chain(r: ReductionSequence, chain: Iterable[Move]) -> ReductionSequence:

@@ -105,14 +105,6 @@ def check_connected(graph: MoveGraph) -> bool:
     return dist.keys() == set(graph.nodes)
 
 
-def check_triviality_witness(w: Word, cap: int = DEFAULT_CAP) -> bool:
-    """Any two complete reductions of w are linked by single moves.
-
-    This is the checkable core of the statement that a fully reducible
-    word carries an essentially unique proof of its triviality."""
-    return check_connected(build_move_graph(w, cap))
-
-
 def _search(
     graph: MoveGraph, dist: dict[Steps, int], queue: deque, target: Steps | None
 ) -> int | None:
@@ -155,9 +147,21 @@ class TransformReport:
         return not self.failures
 
 
-def _check_pairs(
-    graph: MoveGraph, pair_limit: int | None, rng: random.Random
+def check_pairs(
+    graph: MoveGraph, pair_limit: int | None = None, rng: random.Random | None = None
 ) -> TransformReport:
+    """Replay-check transform_to over ordered pairs of the graph's nodes.
+
+    Exhaustive over all ordered pairs by default; pass pair_limit to
+    sample that many pairs instead (seeded rng for reproducibility).
+    Each pair must replay from start to target through known nodes
+    within the k(k+1)/2 + k length bound, and the target must also be
+    reachable by single moves.  Its BFS distance, reported alongside
+    the chain length for comparison, comes from one search per start
+    that each pair resumes only until its target is found; pairs arrive
+    start by start when exhaustive, so no node is expanded twice for one
+    start, and a sampled pair stops at its target's layer.
+    """
     word = graph.word
     nodes = graph.nodes
     report = TransformReport(word, node_count=len(nodes))
@@ -168,6 +172,7 @@ def _check_pairs(
     if pair_limit is None or len(nodes) ** 2 <= pair_limit:
         pairs = itertools.product(nodes, nodes)
     else:
+        rng = rng or random.Random(0)
         pairs = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_limit))
     node_set = set(nodes)
     sequences: dict[Steps, ReductionSequence] = {}
@@ -224,27 +229,6 @@ def _check_pairs(
         else:
             report.max_bfs_distance = max(report.max_bfs_distance, distance)
     return report
-
-
-def check_transform_chain(
-    w: Word,
-    cap: int = DEFAULT_CAP,
-    pair_limit: int | None = None,
-    rng: random.Random | None = None,
-) -> TransformReport:
-    """Replay-check transform_to over ordered pairs of sequences of w.
-
-    Exhaustive over all ordered pairs by default; pass pair_limit to
-    sample that many pairs instead (seeded rng for reproducibility).
-    Each pair must replay from start to target through known nodes
-    within the k(k+1)/2 + k length bound, and the target must also be
-    reachable by single moves.  Its BFS distance, reported alongside
-    the chain length for comparison, comes from one search per start
-    that each pair resumes only until its target is found; pairs arrive
-    start by start when exhaustive, so no node is expanded twice for one
-    start, and a sampled pair stops at its target's layer.
-    """
-    return _check_pairs(build_move_graph(w, cap), pair_limit, rng or random.Random(0))
 
 
 def signed_alphabet(names: tuple[str, ...] | list[str]) -> tuple[SignedGenerator, ...]:
@@ -320,7 +304,7 @@ def check_corpus(
         if not check_connected(graph):
             report.disconnected.append(w)
         limit = None if len(graph.nodes) <= pair_threshold else pair_samples
-        sub = _check_pairs(graph, limit, rng)
+        sub = check_pairs(graph, limit, rng)
         report.pairs_verified += sub.pair_count
         report.max_chain_length = max(report.max_chain_length, sub.max_chain_length)
         report.max_bfs_distance = max(report.max_bfs_distance, sub.max_bfs_distance)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .core import Word, invert, is_redex_at
-from .errors import IncompleteReduction, IndexOutOfRange, InvalidRedex, ParseError
+from .core import Word, is_redex_at
+from .errors import IncompleteReduction, InvalidRedex, ParseError
 
 
 class ReductionSequence(NamedTuple):
@@ -70,40 +70,6 @@ def run_sequence(r: ReductionSequence) -> list[Word]:
     for p in r.steps:
         trace.append(apply_step(trace[-1], p))
     return trace
-
-
-def word_before_step(r: ReductionSequence, i: int) -> Word:
-    """The word that step i acts on (r.word after steps 0..i-1)."""
-    current = r.word
-    for p in r.steps[:i]:
-        current = apply_step(current, p)
-    return current
-
-
-def step_of_index(r: ReductionSequence, index: int) -> int:
-    """The step number at which item ``index`` of r.word gets removed.
-
-    Every index of the original word is consumed by exactly one step of
-    a complete sequence.  Tracks the surviving original indices through
-    the steps; desk-scale words keep this cheap.  A step that runs off
-    the word or removes a pair that does not cancel raises InvalidRedex
-    with its step index; steps that run out first raise
-    IncompleteReduction.
-    """
-    w = r.word
-    if not 0 <= index < len(w):
-        raise IndexOutOfRange(index, len(w), what="item index")
-    alive = list(range(len(w)))
-    for k, p in enumerate(r.steps):
-        if not 0 <= p < len(alive) - 1:
-            raise InvalidRedex(p, step=k)
-        x, y = w[alive[p]], w[alive[p + 1]]
-        if y != invert(x):
-            raise InvalidRedex(p, pair=(x, y), step=k)
-        if index in (alive[p], alive[p + 1]):
-            return k
-        del alive[p:p + 2]
-    raise IncompleteReduction(tuple(w[i] for i in alive))
 
 
 def parse_steps(text: str) -> tuple[int, ...]:

@@ -29,8 +29,8 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
     configuration; one overlap switch retargets it onto the marked pair
     first.  Each move is done as arithmetic on the list, with the
     checks of swap and overlap_switch.  Steps that run out before
-    consuming p raise IncompleteReduction; steps off the word are caught
-    once per call by the caller.
+    consuming p raise IncompleteReduction.  Callers validate the start
+    once, on entry; the moves keep every step in the word it acts on.
     """
     if not is_redex_at(word, p):
         raise InvalidRedex(p, pair=_pair_at(word, p))
@@ -71,16 +71,6 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
     return moves
 
 
-def _step_list(r: ReductionSequence) -> list[int]:
-    # every step must lie in the word it acts on; checked once per call,
-    # not in the scans of _front, since its moves keep that true
-    last = len(r.word) - 2
-    for k, q in enumerate(r.steps):
-        if not 0 <= q <= last - 2 * k:
-            raise InvalidRedex(q, step=k)
-    return list(r.steps)
-
-
 def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionSequence]:
     """Rewrite r so that its first step removes the redex at p.
 
@@ -90,8 +80,8 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
     p+1, followed by the swaps bubbling that step to the front, so its
     length is at most the number of steps.
 
-    r is validated whole on the way in: a hand-built r whose steps are
-    not a complete reduction raises InvalidRedex naming the first step
+    r is validated whole on the way in, so a hand-built r raises what
+    validate_sequence raises on it: InvalidRedex naming the first step
     that is not a redex, or IncompleteReduction if the steps run out,
     even where the bad step comes after the one consuming p.
     """
@@ -118,7 +108,9 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     indices are lifted by j.  The chain is correct, not minimal:
     apply_chain(r, result) == s, with length at most k(k+1)/2 + k for
     k steps.  r == s may return a nonempty chain that replays to r
-    itself.
+    itself.  r is validated whole on the way in, as by front_reduction;
+    a step of s that is not a redex raises InvalidRedex, and steps of s
+    that stop early raise IncompleteReduction.
 
     The state after level j depends only on r and the first j steps of
     s, so one slot keeps the previous successful call.  A call from the
@@ -135,9 +127,10 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     target = s.steps
     memo = _memo
     if memo is None or memo[0] != r:
-        level, word, steps, chain, levels = 0, r.word, _step_list(r), [], None
+        validate_sequence(r.word, r.steps)
+        level, word, steps, chain, levels = 0, r.word, list(r.steps), [], None
     else:
-        # the same start already passed _step_list in a call that completed
+        # the same start was validated by a call that completed
         _, previous, old_chain, levels = memo
         level = 0
         if levels is None:
@@ -149,20 +142,13 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
             levels = levels[:level + 1]  # a copy: published levels never change
         kept, word, length = levels[level]
         steps, chain = list(kept), list(old_chain[:length])
-    try:
-        for level in range(level, len(target)):
-            p = target[level]
-            chain += _front(word, steps, p, level)
-            word = word[:p] + word[p + 2:]
-            del steps[0]
-            if levels is not None:
-                levels.append((tuple(steps), word, len(chain)))
-    except (NoOverlap, NotIndependent):
-        # _front never refuses a move of a complete reduction, so the
-        # start is checked here, off the path valid pairs take, to name
-        # the step that is not a redex
-        validate_sequence(r.word, r.steps)
-        raise
+    for level in range(level, len(target)):
+        p = target[level]
+        chain += _front(word, steps, p, level)
+        word = word[:p] + word[p + 2:]
+        del steps[0]
+        if levels is not None:
+            levels.append((tuple(steps), word, len(chain)))
     if word:
         raise IncompleteReduction(word)
     result = tuple(chain)

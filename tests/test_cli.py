@@ -258,6 +258,19 @@ def test_check_accepts_max_len_zero(capsys):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("--samples", "2", "--max-len", "0", "--json"),
+    ("--samples", "1", "--max-len", "1", "--cap", "1"),
+])
+def test_check_samples_need_max_len_two(capsys, argv):
+    # a sampled word has at least one cancelling pair; these used to
+    # check two-letter words, or to blame one against --cap 1
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--max-len" in err
+
+
 def test_check_rejects_empty_alphabet(capsys):
     code, _, err = run(capsys, "check", "--alphabet", ",")
     assert code == 2

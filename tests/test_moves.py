@@ -1,7 +1,7 @@
 import pytest
 
 from freeword.core import parse_word
-from freeword.errors import IndexOutOfRange, NoOverlap, NotIndependent, ParseError
+from freeword.errors import FreewordError, IndexOutOfRange, NoOverlap, NotIndependent, ParseError
 from freeword.moves import (
     LEFT,
     OVERLAP_LEFT,
@@ -94,8 +94,9 @@ def test_overlap_switch_rejects_without_third_item():
 
 
 def test_overlap_switch_rejects_bad_direction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         overlap_switch(seq("a a' a a'", (0, 0)), 0, "up")
+    assert isinstance(info.value, FreewordError)
 
 
 def test_overlap_switch_index_out_of_range():
@@ -117,8 +118,9 @@ def test_apply_move_dispatch():
     r = seq("a a' a a'", (0, 0))
     assert apply_move(r, Move(OVERLAP_RIGHT, 0)).steps == (1, 0)
     assert apply_move(seq("a a' a a'", (1, 0)), Move(OVERLAP_LEFT, 0)).steps == (0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         apply_move(r, Move("spin", 0))
+    assert isinstance(info.value, FreewordError)
 
 
 def test_apply_chain_example():

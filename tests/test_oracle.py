@@ -17,8 +17,7 @@ from freeword.oracle import (
     build_move_graph,
     check_connected,
     check_corpus,
-    check_transform_chain,
-    check_triviality_witness,
+    check_pairs,
     enumerate_sequences,
     random_reducible_word,
     signed_alphabet,
@@ -145,14 +144,13 @@ def test_check_connected_rejects_an_edge_leaving_the_node_set():
 
 
 def test_check_triviality_witness():
-    assert check_triviality_witness(w("a a' b c c' b'"))
-    assert check_triviality_witness(w("a a' a a' a a'"))
-    assert check_triviality_witness(w("a b"))  # vacuous
-    assert check_triviality_witness(())
+    # any two complete reductions are linked by single moves
+    for text in ["a a' b c c' b'", "a a' a a' a a'", "a b", ""]:  # "a b" is vacuous
+        assert check_connected(build_move_graph(w(text)))
 
 
 def test_check_transform_chain_single_node():
-    report = check_transform_chain(w("a a'"))
+    report = check_pairs(build_move_graph(w("a a'")))
     assert report.ok
     assert report.pair_count == 1
     assert report.max_chain_length == 0
@@ -160,7 +158,7 @@ def test_check_transform_chain_single_node():
 
 
 def test_check_transform_chain_two_nodes():
-    report = check_transform_chain(w("a a' b b'"))
+    report = check_pairs(build_move_graph(w("a a' b b'")))
     assert report.ok
     assert report.pair_count == 4
     assert report.max_bfs_distance == 1
@@ -168,7 +166,7 @@ def test_check_transform_chain_two_nodes():
 
 
 def test_check_transform_chain_longer_word():
-    report = check_transform_chain(w("a a' b c c' b'"))
+    report = check_pairs(build_move_graph(w("a a' b c c' b'")))
     assert report.ok
     assert report.pair_count == len(report_nodes(report)) ** 2
 
@@ -179,14 +177,14 @@ def report_nodes(report):
 
 def test_check_transform_chain_sampling():
     rng = random.Random(5)
-    report = check_transform_chain(w("a a' a a' a a'"), pair_limit=10, rng=rng)
+    report = check_pairs(build_move_graph(w("a a' a a' a a'")), pair_limit=10, rng=rng)
     assert report.pair_count == 10
     assert report.ok
 
 
 def test_chain_length_dominates_bfs_distance():
     for text in ["a a' b b'", "a a' a a'", "a a' b c c' b'"]:
-        report = check_transform_chain(w(text))
+        report = check_pairs(build_move_graph(w(text)))
         assert report.max_chain_length >= report.max_bfs_distance
 
 
@@ -341,7 +339,7 @@ def test_check_pairs_reports_a_failure_inside_a_shared_prefix(monkeypatch):
     start, first, second = (0, 0, 0), (4, 0, 0), (4, 2, 0)
     assert graph.nodes.index(second) == graph.nodes.index(first) + 1
     monkeypatch.setattr(moves, "swap", swap_refusing_step_zero)
-    report = oracle._check_pairs(graph, None, random.Random(0))
+    report = check_pairs(graph)
     broken = {
         f.target: (f.move_index, f.reason)
         for f in report.failures
@@ -364,7 +362,7 @@ def test_check_pairs_replays_only_past_the_shared_prefix(monkeypatch):
         return apply_move(r, move)
 
     monkeypatch.setattr(oracle, "apply_move", counting_apply_move)
-    report = oracle._check_pairs(graph, None, random.Random(0))
+    report = check_pairs(graph)
     assert report.ok
     total = unshared = 0
     for start in graph.nodes:
@@ -390,7 +388,7 @@ def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
         return ORIGINAL_FRONT(word, steps, p, lift)
 
     patch_with_cold_memo(monkeypatch, transform, "_front", counting_front)
-    assert oracle._check_pairs(graph, None, random.Random(0)).ok
+    assert check_pairs(graph).ok
     # per start, the first call (a new start) and the second (which takes
     # the level snapshots) run every level; each later call runs only the
     # levels past the prefix its target shares with the previous target
@@ -456,7 +454,7 @@ def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, pair_limit, s
         return distances[-1]
 
     monkeypatch.setattr(oracle, "_search", recording_search)
-    report = oracle._check_pairs(graph, pair_limit, random.Random(seed))
+    report = check_pairs(graph, pair_limit, random.Random(seed))
     assert report.ok
     assert report.pair_count == len(pairs) == (pair_limit or len(graph.nodes) ** 2)
     reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
@@ -481,7 +479,7 @@ def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch)
     pairs = record_pairs(monkeypatch)
     for pair_limit, seed in [(None, 0), (5, 0), (8, 1), (8, 2)]:
         del pairs[:]
-        report = oracle._check_pairs(graph, pair_limit, random.Random(seed))
+        report = check_pairs(graph, pair_limit, random.Random(seed))
         reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
         unreachable = [(s, t, reason) for s, t in pairs if t not in reference[s]]
         assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
@@ -509,13 +507,13 @@ def test_check_pairs_search_stops_at_the_target(monkeypatch):
     pairs = record_pairs(monkeypatch)
     graph = build_move_graph(w(LARGE_WORD))
     graph.adjacency = adjacency = CountingAdjacency(graph.adjacency, pairs)
-    assert oracle._check_pairs(graph, 50, random.Random(0)).ok
+    assert check_pairs(graph, 50, random.Random(0)).ok
     # a full BFS expands every node of this connected graph once
     assert len(adjacency.log) < len({s for s, _ in pairs}) * len(graph.nodes)
 
     del pairs[:]
     graph = build_move_graph(w(EXHAUSTIVE_WORD))
     graph.adjacency = adjacency = CountingAdjacency(graph.adjacency, pairs)
-    assert oracle._check_pairs(graph, None, random.Random(0)).ok
+    assert check_pairs(graph).ok
     # exhaustive pairs come start by start: no node is expanded twice for one start
     assert len(set(adjacency.log)) == len(adjacency.log)

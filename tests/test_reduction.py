@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freeword.core import parse_word, render_word
-from freeword.errors import IncompleteReduction, IndexOutOfRange, InvalidRedex, ParseError
+from freeword.errors import IncompleteReduction, InvalidRedex, ParseError
 from freeword.oracle import random_reducible_word
 from freeword.reduction import (
     ReductionSequence,
@@ -13,9 +13,7 @@ from freeword.reduction import (
     parse_steps,
     render_steps,
     run_sequence,
-    step_of_index,
     validate_sequence,
-    word_before_step,
 )
 
 import random
@@ -152,71 +150,6 @@ def test_removed_pairs_account_for_every_item(r):
     for i, p in enumerate(r.steps):
         removed.extend(trace[i][p:p + 2])
     assert Counter(removed) == Counter(r.word)
-
-
-def test_word_before_step():
-    r = validate_sequence(w(DEMO_WORD), (3, 0, 0))
-    assert word_before_step(r, 0) == w(DEMO_WORD)
-    assert word_before_step(r, 1) == w("a a' b b'")
-    assert word_before_step(r, 2) == w("b b'")
-
-
-def test_step_of_index_examples():
-    r = validate_sequence(w(DEMO_WORD), (3, 0, 0))
-    assert step_of_index(r, 3) == 0  # the c
-    assert step_of_index(r, 4) == 0  # the c'
-    assert step_of_index(r, 0) == 1  # the a
-    assert step_of_index(r, 2) == 2  # the b
-
-
-def test_step_of_index_single_pair():
-    r = validate_sequence(w("a a'"), (0,))
-    assert step_of_index(r, 0) == 0
-    assert step_of_index(r, 1) == 0
-
-
-def test_step_of_index_out_of_range():
-    # a FreewordError, so callers catching that one type see it
-    r = validate_sequence(w("a a'"), (0,))
-    for index in (2, -1):
-        with pytest.raises(IndexOutOfRange) as info:
-            step_of_index(r, index)
-        assert info.value.index == index
-
-
-def test_step_of_index_rejects_steps_off_the_word():
-    # a hand-built sequence whose first step lies past the word used to
-    # raise a bare IndexError
-    r = ReductionSequence(w("a a' b b'"), (5, 0))
-    with pytest.raises(InvalidRedex) as info:
-        step_of_index(r, 0)
-    assert (info.value.position, info.value.step) == (5, 0)
-
-
-def test_step_of_index_rejects_steps_that_are_not_redexes():
-    # "a b a' b'" has no reduction; step 0 removes "b a'", which does not
-    # cancel, and step 1 used to be returned for item 0 all the same
-    r = ReductionSequence(w("a b a' b'"), (1, 0))
-    for index in range(4):
-        with pytest.raises(InvalidRedex) as info:
-            step_of_index(r, index)
-        assert (info.value.position, info.value.step) == (1, 0)
-        assert info.value.pair == (w("b")[0], w("a'")[0])
-
-
-def test_step_of_index_rejects_steps_that_run_out():
-    # used to raise AssertionError: no step consumes item 2
-    r = ReductionSequence(w("a a' b b'"), (0,))
-    with pytest.raises(IncompleteReduction) as info:
-        step_of_index(r, 2)
-    assert info.value.remainder == w("b b'")
-
-
-@given(sequences())
-def test_step_of_index_pairs_off_the_word(r):
-    # every step consumes exactly two original indices
-    by_step = Counter(step_of_index(r, i) for i in range(len(r.word)))
-    assert by_step == Counter({k: 2 for k in range(len(r.steps))})
 
 
 def test_parse_steps_formats():

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeword import transform
@@ -13,7 +13,7 @@ from freeword.core import invert, parse_word, signed
 from freeword.errors import FreewordError, IncompleteReduction, InvalidRedex, WordMismatch
 from freeword.moves import Move, apply_chain, render_chain
 from freeword.oracle import all_words, enumerate_sequences, random_reducible_word
-from freeword.reduction import ReductionSequence, apply_step, step_of_index, validate_sequence
+from freeword.reduction import ReductionSequence, apply_step, validate_sequence
 from freeword.transform import drop_redex, extend_reduction, front_reduction, transform_to
 
 
@@ -80,10 +80,10 @@ def test_front_reduction_rejects_non_redex():
         front_reduction(r, 7)
 
 
-# A hand-built start gets no validate_sequence on entry to transform_to
-# (one per call would cost a quarter of it), so steps that run off the
-# word or run out must still end in a FreewordError; front_reduction
-# validates its start whole.
+# front_reduction and transform_to validate a start whole on entry, as
+# validate_sequence does, so a hand-built start raises what
+# validate_sequence raises on it; transform_to skips the check only for
+# the start of its previous call, which completed.
 
 @pytest.mark.parametrize("steps", [(5, 0), (-1, 0)])
 def test_front_reduction_rejects_steps_off_the_word(steps):
@@ -159,9 +159,7 @@ def test_front_reduction_rejects_bad_steps_past_the_one_consuming_p(text, start,
 def test_hand_built_sequences_fail_only_with_freeword_errors(items, start, target, p):
     word = w(" ".join(items))
     r, s = ReductionSequence(word, tuple(start)), ReductionSequence(word, tuple(target))
-    calls = (lambda: front_reduction(r, p), lambda: transform_to(r, s),
-             lambda: step_of_index(r, p))
-    for call in calls:
+    for call in (lambda: front_reduction(r, p), lambda: transform_to(r, s)):
         try:
             call()
         except FreewordError:
@@ -360,6 +358,54 @@ def test_transform_to_from_two_threads_matches_cold_calls():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == expected
+
+
+# One start contract: a hand-built start raises what validate_sequence
+# raises on it, from transform_to as from front_reduction, and a valid
+# one gets the chain of the validated start.
+
+START_WORDS = [w(text) for text in CORPUS_WORDS[1:]] + MEMO_WORDS  # two or more steps
+START_NODES = [enumerate_sequences(word) for word in START_WORDS]
+
+
+@st.composite
+def hand_built_starts(draw):
+    # a valid start with some steps moved elsewhere in the word or off
+    # it, perhaps cut short; the start errors that a range check alone
+    # sees differently come from a step that is not a redex before a
+    # step off the word, or before the cut
+    i = draw(st.integers(0, len(START_WORDS) - 1))
+    word, nodes = START_WORDS[i], START_NODES[i]
+    steps = list(nodes[draw(st.integers(0, len(nodes) - 1))].steps)
+    for j in range(len(steps)):
+        last = len(word) - 2 - 2 * j  # the last position step j may name
+        kind = draw(st.sampled_from(["keep", "in-range", "off-word"]))
+        if kind == "in-range":
+            steps[j] = draw(st.integers(0, last))
+        elif kind == "off-word":
+            steps[j] = draw(st.sampled_from([-1, last + 1, len(word)]))
+    cut = draw(st.sampled_from([len(steps)] * 2 + list(range(len(steps)))))
+    target = nodes[draw(st.integers(0, len(nodes) - 1))]
+    p = draw(st.sampled_from(redexes(word)))
+    return ReductionSequence(word, tuple(steps[:cut])), target, p
+
+
+@settings(max_examples=300)
+@given(hand_built_starts())
+def test_hand_built_starts_raise_what_validate_sequence_raises(case):
+    r, s, p = case
+    try:
+        valid = validate_sequence(r.word, r.steps)
+    except FreewordError as err:
+        expected = type(err), str(err), vars(err)
+        assert cold_outcome(r, s) == expected
+        with pytest.raises(type(err)) as info:
+            front_reduction(r, p)
+        assert (str(info.value), vars(info.value)) == expected[1:]
+    else:
+        chain = cold_outcome(valid, s)
+        assert cold_outcome(r, s) == chain
+        assert apply_chain(r, chain) == s
 
 
 def test_extend_reduction_prepends_the_inserted_pair():
