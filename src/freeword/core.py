@@ -68,9 +68,7 @@ def is_redex_at(w: Word, p: int) -> bool:
 
 def find_redexes(w: Word) -> list[int]:
     """All positions where a redex starts, in ascending order."""
-    # same test as is_redex_at, inlined: this is the enumerator's inner loop
-    return [p for p in range(len(w) - 1)
-            if w[p].name == w[p + 1].name and w[p].sign == -w[p + 1].sign]
+    return [p for p in range(len(w) - 1) if is_redex_at(w, p)]
 
 
 def parse_word(text: str) -> Word:

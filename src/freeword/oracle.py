@@ -14,6 +14,7 @@ the cap knowingly.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,13 +27,10 @@ from .reduction import ReductionSequence
 from .transform import transform_to
 
 DEFAULT_CAP = 12
+PAIR_THRESHOLD = 200
+PAIR_SAMPLES = 50
 
 Steps = tuple[int, ...]
-
-
-def _check_cap(w: Word, cap: int) -> None:
-    if len(w) > cap:
-        raise CapExceeded(len(w), cap)
 
 
 def _step_lists(w: Word, memo: dict[Word, tuple[Steps, ...]]) -> tuple[Steps, ...]:
@@ -55,7 +53,8 @@ def enumerate_sequences(w: Word, cap: int = DEFAULT_CAP) -> list[ReductionSequen
     """All complete reductions of w, duplicate-free, in lexicographic
     position order.  Empty iff the normal form of w is nonempty; the
     empty word has exactly the empty sequence."""
-    _check_cap(w, cap)
+    if len(w) > cap:
+        raise CapExceeded(len(w), cap)
     return [ReductionSequence(w, steps) for steps in _step_lists(w, {})]
 
 
@@ -136,7 +135,6 @@ class TransformFailure:
 @dataclass
 class TransformReport:
     word: Word
-    node_count: int
     pair_count: int = 0
     max_chain_length: int = 0
     max_bfs_distance: int = 0
@@ -157,77 +155,78 @@ def check_pairs(
     Each pair must replay from start to target through known nodes
     within the k(k+1)/2 + k length bound, and the target must also be
     reachable by single moves.  Its BFS distance, reported alongside
-    the chain length for comparison, comes from one search per start
-    that each pair resumes only until its target is found; pairs arrive
-    start by start when exhaustive, so no node is expanded twice for one
-    start, and a sampled pair stops at its target's layer.
+    the chain length for comparison, comes from one search per run of
+    pairs from one start, which each pair resumes only until its target
+    is found; pairs arrive start by start when exhaustive, so no node is
+    expanded twice for one start, and a sampled pair stops at its
+    target's layer.
     """
     word = graph.word
     nodes = graph.nodes
-    report = TransformReport(word, node_count=len(nodes))
+    report = TransformReport(word)
     if not nodes:
         return report
     k = len(word) // 2
     bound = k * (k + 1) // 2 + k
+    # when exhaustive, one sequence per node: building one per pair
+    # made the 180-sequence pair check measurably slower
     if pair_limit is None or len(nodes) ** 2 <= pair_limit:
-        pairs = itertools.product(nodes, nodes)
+        sequences = [ReductionSequence(word, node) for node in nodes]
+        pairs = itertools.product(sequences, sequences)
     else:
         rng = rng or random.Random(0)
-        pairs = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_limit))
+        draws = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_limit))
+        pairs = ((ReductionSequence(word, a), ReductionSequence(word, b)) for a, b in draws)
     node_set = set(nodes)
-    sequences: dict[Steps, ReductionSequence] = {}
-    # trail[i] is the start after the first i moves of the previous
-    # chain from the same start.  Chains to neighbouring targets share
-    # long prefixes, and apply_move is pure, so only the moves past the
-    # shared prefix are replayed; a failure inside that prefix recurs,
-    # since the trail stops before the move that failed.
-    trail_start = None
-    trail: list[ReductionSequence] = []
-    previous: tuple[Move, ...] = ()
-    # one breadth-first search per start, reset with the trail: each
-    # pair resumes it only until its target has a distance
-    dist: dict[Steps, int] = {}
-    queue: deque[Steps] = deque()
 
     def fail(start, target, move_index, reason):
         report.failures.append(TransformFailure(word, start, target, move_index, reason))
 
-    for start, target in pairs:
-        report.pair_count += 1
-        r = sequences.get(start) or sequences.setdefault(start, ReductionSequence(word, start))
-        s = sequences.get(target) or sequences.setdefault(target, ReductionSequence(word, target))
-        chain = transform_to(r, s)
-        report.max_chain_length = max(report.max_chain_length, len(chain))
-        if len(chain) > bound:
-            fail(start, target, None, f"chain length {len(chain)} exceeds bound {bound}")
-        if start != trail_start:
-            trail_start, trail, previous = start, [r], ()
-            dist, queue = {start: 0}, deque([start])
-        shared = 0
-        limit = min(len(chain), len(trail) - 1)
-        while shared < limit and chain[shared] == previous[shared]:
-            shared += 1
-        del trail[shared + 1:]
-        previous = chain
-        current = trail[shared]
-        for idx in range(shared, len(chain)):
-            try:
-                current = apply_move(current, chain[idx])
-            except FreewordError as err:
-                fail(start, target, idx, str(err))
-                break
-            if current.steps not in node_set:
-                fail(start, target, idx, "intermediate sequence is not a known node")
-                break
-            trail.append(current)
-        else:
-            if current.steps != target:
-                fail(start, target, None, "chain does not replay to the target")
-        distance = _search(graph, dist, queue, target)
-        if distance is None:
-            fail(start, target, None, "target unreachable by single moves")
-        else:
-            report.max_bfs_distance = max(report.max_bfs_distance, distance)
+    for r, group in itertools.groupby(pairs, key=operator.itemgetter(0)):
+        start = r.steps
+        # trail[i] is r after the first i moves of the previous chain.
+        # Chains to neighbouring targets share long prefixes, and
+        # apply_move is pure, so only the moves past the shared prefix
+        # are replayed; a failure inside that prefix recurs, since the
+        # trail stops before the move that failed.
+        trail = [r]
+        previous: tuple[Move, ...] = ()
+        # one breadth-first search per start: each pair resumes it only
+        # until its target has a distance
+        dist = {start: 0}
+        queue = deque([start])
+        for _, s in group:
+            target = s.steps
+            report.pair_count += 1
+            chain = transform_to(r, s)
+            report.max_chain_length = max(report.max_chain_length, len(chain))
+            if len(chain) > bound:
+                fail(start, target, None, f"chain length {len(chain)} exceeds bound {bound}")
+            shared = 0
+            limit = min(len(chain), len(trail) - 1)
+            while shared < limit and chain[shared] == previous[shared]:
+                shared += 1
+            del trail[shared + 1:]
+            previous = chain
+            current = trail[shared]
+            for idx in range(shared, len(chain)):
+                try:
+                    current = apply_move(current, chain[idx])
+                except FreewordError as err:
+                    fail(start, target, idx, str(err))
+                    break
+                if current.steps not in node_set:
+                    fail(start, target, idx, "intermediate sequence is not a known node")
+                    break
+                trail.append(current)
+            else:
+                if current.steps != target:
+                    fail(start, target, None, "chain does not replay to the target")
+            distance = _search(graph, dist, queue, target)
+            if distance is None:
+                fail(start, target, None, "target unreachable by single moves")
+            else:
+                report.max_bfs_distance = max(report.max_bfs_distance, distance)
     return report
 
 
@@ -276,18 +275,12 @@ class CorpusReport:
         return not (self.disconnected or self.mismatched or self.transform_failures)
 
 
-def check_corpus(
-    words,
-    cap: int = DEFAULT_CAP,
-    pair_threshold: int = 200,
-    pair_samples: int = 50,
-    seed: int = 0,
-) -> CorpusReport:
+def check_corpus(words, cap: int = DEFAULT_CAP, seed: int = 0) -> CorpusReport:
     """Run the full battery over a corpus of words.
 
     Per word: the reducible/empty-normal-form equivalence, move-graph
     connectivity, and transform_to replay checks.  Pairs are exhaustive
-    up to pair_threshold nodes and sampled (pair_samples of them)
+    up to PAIR_THRESHOLD nodes and sampled (PAIR_SAMPLES of them)
     beyond.  Words are processed in sorted text order, so reports are
     deterministic whatever order the corpus arrives in.
     """
@@ -303,7 +296,7 @@ def check_corpus(
             continue
         if not check_connected(graph):
             report.disconnected.append(w)
-        limit = None if len(graph.nodes) <= pair_threshold else pair_samples
+        limit = None if len(graph.nodes) <= PAIR_THRESHOLD else PAIR_SAMPLES
         sub = check_pairs(graph, limit, rng)
         report.pairs_verified += sub.pair_count
         report.max_chain_length = max(report.max_chain_length, sub.max_chain_length)

@@ -93,8 +93,8 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
 
 # The previous successful transform_to call, published by one assignment
 # and never mutated: (start, target steps, chain, levels).  levels[j] is
-# (steps, word, chain length) after j levels, or None when the start
-# was new, since most starts are used once.
+# (steps, word, chain length) after j levels; every call keeps all of
+# them, so any next call from the same start can resume.
 _memo: tuple | None = None
 
 
@@ -113,11 +113,11 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     that stop early raise IncompleteReduction.
 
     The state after level j depends only on r and the first j steps of
-    s, so one slot keeps the previous successful call.  A call from the
-    same start as that call takes a snapshot after every level, and the
-    next call from that start resumes after the deepest level its target
-    shares with the stored target, keeping the chain up to there.
-    Results and errors are those of a call from scratch.
+    s, so one slot keeps the previous successful call, with a snapshot
+    after every level.  A call from the same start resumes after the
+    deepest level its target shares with the stored target, keeping the
+    chain up to there.  Results and errors are those of a call from
+    scratch.
     """
     global _memo
     if r.word != s.word:
@@ -128,27 +128,23 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     memo = _memo
     if memo is None or memo[0] != r:
         validate_sequence(r.word, r.steps)
-        level, word, steps, chain, levels = 0, r.word, list(r.steps), [], None
+        previous, old_chain, levels = (), (), [(r.steps, r.word, 0)]
     else:
         # the same start was validated by a call that completed
         _, previous, old_chain, levels = memo
-        level = 0
-        if levels is None:
-            levels = [(r.steps, r.word, 0)]
-        else:
-            limit = min(len(target), len(previous))
-            while level < limit and target[level] == previous[level]:
-                level += 1
-            levels = levels[:level + 1]  # a copy: published levels never change
-        kept, word, length = levels[level]
-        steps, chain = list(kept), list(old_chain[:length])
+    level = 0
+    limit = min(len(target), len(previous))
+    while level < limit and target[level] == previous[level]:
+        level += 1
+    levels = levels[:level + 1]  # a copy: published levels never change
+    kept, word, length = levels[level]
+    steps, chain = list(kept), list(old_chain[:length])
     for level in range(level, len(target)):
         p = target[level]
         chain += _front(word, steps, p, level)
         word = word[:p] + word[p + 2:]
         del steps[0]
-        if levels is not None:
-            levels.append((tuple(steps), word, len(chain)))
+        levels.append((tuple(steps), word, len(chain)))
     if word:
         raise IncompleteReduction(word)
     result = tuple(chain)

@@ -114,6 +114,24 @@ def test_criterion_02_transform_chains_replay(corpus_reports):
     ), failures[:5]
 
 
+# (words, sequences, ordered pairs, longest chain, deepest BFS) of each
+# corpus: a sweep that skipped words, sequences or pairs would still
+# report no failures, so the amount of work is pinned too
+PINNED_SWEEP_COUNTS = (
+    (87381, 27893, 658301, 6, 6),
+    (500, 47954, 1148230, 14, 13),
+)
+
+
+def test_corpus_sweep_counts_are_pinned(corpus_reports):
+    counts = tuple(
+        (r.words_checked, r.sequences_enumerated, r.pairs_verified,
+         r.max_chain_length, r.max_bfs_distance)
+        for r in corpus_reports[:2]
+    )
+    assert counts == PINNED_SWEEP_COUNTS
+
+
 def test_criterion_03_front_reduction_contract(exhaustive_words, random_words):
     checked = 0
     failures = []

@@ -236,7 +236,7 @@ def test_check_corpus_sampling_policy():
     word = w(" ".join(["a", "a'"] * 5))
     node_count = len(enumerate_sequences(word))
     assert node_count > 200
-    report = check_corpus([word], pair_threshold=200, pair_samples=50)
+    report = check_corpus([word])
     assert report.pairs_verified == 50
     assert report.ok
 
@@ -389,15 +389,15 @@ def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
 
     patch_with_cold_memo(monkeypatch, transform, "_front", counting_front)
     assert check_pairs(graph).ok
-    # per start, the first call (a new start) and the second (which takes
-    # the level snapshots) run every level; each later call runs only the
-    # levels past the prefix its target shares with the previous target
+    # per start, the first call runs every level; each later call runs
+    # only the levels past the prefix its target shares with the previous
+    # target
     k = len(graph.word) // 2
     expected = 0
     for start in graph.nodes:
         for i, target in enumerate(graph.nodes):
             shared = 0
-            if i >= 2:
+            if i >= 1:
                 previous = graph.nodes[i - 1]
                 while shared < k and target[shared] == previous[shared]:
                     shared += 1

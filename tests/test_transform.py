@@ -324,7 +324,33 @@ def test_transform_to_memo_holds_one_call_of_immutable_values():
     assert all(type(kept) is tuple and type(word) is tuple for kept, word, _ in levels)
     assert levels[-1] == ((), (), len(chain))
     transform_to(nodes[6], nodes[0])
-    assert transform._memo[3] is None  # a new start keeps no levels
+    assert len(transform._memo[3]) == k + 1  # a new start keeps every level too
+
+
+def test_transform_to_second_call_resumes_past_the_shared_levels(monkeypatch):
+    # the first call from a start already keeps its levels, so the second
+    # call fronts only the levels past the prefix the two targets share
+    nodes = MEMO_NODES[2]
+    k = len(nodes[0].steps)
+    r, first, second = nodes[5], nodes[0], nodes[1]
+    shared = 0
+    while first.steps[shared] == second.steps[shared]:
+        shared += 1
+    assert 0 < shared < k
+    calls = []
+    original_front = transform._front
+
+    def counting_front(word, steps, p, lift):
+        calls.append(lift)
+        return original_front(word, steps, p, lift)
+
+    monkeypatch.setattr(transform, "_memo", None)
+    monkeypatch.setattr(transform, "_front", counting_front)
+    transform_to(r, first)
+    del calls[:]
+    chain = transform_to(r, second)
+    assert calls == list(range(shared, k))
+    assert chain == cold_outcome(r, second)
 
 
 def test_transform_to_from_two_threads_matches_cold_calls():
