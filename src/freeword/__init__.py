@@ -15,6 +15,7 @@ from .core import (
     POSITIVE,
     SignedGenerator,
     Word,
+    cancels,
     find_redexes,
     invert,
     is_redex_at,
@@ -34,7 +35,7 @@ from .errors import (
     ParseError,
     WordMismatch,
 )
-from .group import abelianize, cons, eq, inv, is_normal, mul, normal_form
+from .group import abelianize, cons, eq, greedy_reduction, inv, is_normal, mul, normal_form
 from .moves import (
     LEFT,
     OVERLAP_LEFT,

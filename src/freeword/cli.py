@@ -15,13 +15,14 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import random
 import sys
 from dataclasses import asdict
 
-from .core import Word, invert, parse_word, render_word, signed
+from .core import Word, parse_word, render_word, signed
 from .errors import CapExceeded, FreewordError, ParseError
-from .group import abelianize, eq, inv, mul, normal_form
+from .group import abelianize, eq, greedy_reduction, inv, mul, normal_form
 from .moves import apply_move, render_chain
 from .oracle import (
     DEFAULT_CAP,
@@ -76,26 +77,12 @@ def cmd_abel(args) -> CommandResult:
     return {"word": render_word(w), "exponents": abelianize(w)}, None, 0
 
 
-def _greedy_positions(w: Word) -> tuple[int, ...]:
-    # leftmost redex each time, which is the stack pass of normal_form:
-    # every cancellation happens at the top of the reduced prefix
-    stack: list = []
-    positions = []
-    for item in w:
-        if stack and stack[-1] == invert(item):
-            stack.pop()
-            positions.append(len(stack))
-        else:
-            stack.append(item)
-    return tuple(positions)
-
-
 def cmd_reduce(args) -> CommandResult:
     w = parse_word(args.word)
     if args.steps is not None:
         positions = validate_sequence(w, parse_steps(args.steps)).steps
     else:
-        positions = _greedy_positions(w)
+        positions = greedy_reduction(w)[0]
     trace = run_sequence(ReductionSequence(w, positions))
     annotations = [f"{before[p]} {before[p + 1]}" for before, p in zip(trace, positions)]
     payload = {
@@ -172,8 +159,13 @@ def cmd_check(args) -> CommandResult:
     names = tuple(part for part in args.alphabet.split(",") if part)
     if not names:
         raise ParseError("alphabet must name at least one generator", token=args.alphabet)
+    seen = set()
     for name in names:
         signed(name)
+        # a repeated name would count and draw every word more than once
+        if name in seen:
+            raise ParseError("alphabet names must be distinct", token=name)
+        seen.add(name)
     # a corpus of no words would pass vacuously
     if args.max_len < 0:
         raise ParseError("--max-len must not be negative", token=str(args.max_len))
@@ -312,11 +304,20 @@ def main(argv: list[str] | None = None) -> int:
     except FreewordError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if payload is not None and (args.json or lines is None):
-        print(json.dumps({"schema": SCHEMA, **payload}))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if payload is not None and (args.json or lines is None):
+            print(json.dumps({"schema": SCHEMA, **payload}))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: send what is still buffered to devnull,
+        # so the flush at interpreter exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return code
 
 

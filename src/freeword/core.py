@@ -54,16 +54,16 @@ def invert(item: SignedGenerator) -> SignedGenerator:
     return SignedGenerator(item.name, -item.sign)
 
 
-def is_redex_at(w: Word, p: int) -> bool:
-    """True iff items p and p+1 exist and cancel each other.
-
-    Covers both orders (``a a'`` and ``a' a``).  Out-of-range positions
-    are allowed and simply yield False.
-    """
-    if not 0 <= p <= len(w) - 2:
-        return False
-    x, y = w[p], w[p + 1]
+def cancels(x: SignedGenerator, y: SignedGenerator) -> bool:
+    """The one relation of the free group: x y cancels iff y is the
+    inverse of x.  Symmetric, so it covers ``a a'`` and ``a' a``."""
     return x.name == y.name and x.sign == -y.sign
+
+
+def is_redex_at(w: Word, p: int) -> bool:
+    """True iff items p and p+1 exist and cancel each other.  Out-of-range
+    positions are allowed and simply yield False."""
+    return 0 <= p <= len(w) - 2 and cancels(w[p], w[p + 1])
 
 
 def find_redexes(w: Word) -> list[int]:

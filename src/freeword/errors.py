@@ -49,10 +49,12 @@ class InvalidRedex(FreewordError):
 
     ``step`` is the index of the failing step when the error arises from
     a whole sequence, None for a single application.  ``pair`` holds the
-    two items found at the position when it was in range.
+    two items found at the position in ``word``, the word the step acted
+    on, when the position was in range.
     """
 
-    def __init__(self, position: int, pair: tuple | None = None, step: int | None = None):
+    def __init__(self, position: int, word: tuple, step: int | None = None):
+        pair = (word[position], word[position + 1]) if 0 <= position <= len(word) - 2 else None
         msg = f"no redex at position {position}"
         if pair is not None:
             msg += f" (found {pair[0]} {pair[1]})"

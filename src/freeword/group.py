@@ -7,19 +7,29 @@ normalising and comparing tuples.
 
 from __future__ import annotations
 
-from .core import SignedGenerator, Word, find_redexes, invert
+from .core import SignedGenerator, Word, cancels, find_redexes, invert
+
+
+def greedy_reduction(w: Word) -> tuple[tuple[int, ...], Word]:
+    """Cancel the leftmost redex until none is left, in one left-to-right
+    stack pass: every cancellation happens at the top of the reduced
+    prefix.  Returns the positions of those steps, each in the word it
+    acts on, and the normal form.  Linear time."""
+    out: list[SignedGenerator] = []
+    positions = []
+    for item in w:
+        if out and cancels(out[-1], item):
+            out.pop()
+            positions.append(len(out))
+        else:
+            out.append(item)
+    return tuple(positions), tuple(out)
 
 
 def normal_form(w: Word) -> Word:
-    """Cancel everything in one left-to-right stack pass.  Linear time,
-    idempotent, and the result has no redex."""
-    out: list[SignedGenerator] = []
-    for item in w:
-        if out and out[-1] == invert(item):
-            out.pop()
-        else:
-            out.append(item)
-    return tuple(out)
+    """The word left by cancelling everything.  Idempotent, and the
+    result has no redex."""
+    return greedy_reduction(w)[1]
 
 
 def is_normal(w: Word) -> bool:

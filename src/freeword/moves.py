@@ -33,6 +33,8 @@ OVERLAP_RIGHT = "ovr"
 LEFT = "left"
 RIGHT = "right"
 
+_DIRECTION_OF = {OVERLAP_LEFT: LEFT, OVERLAP_RIGHT: RIGHT}
+
 
 class Move(NamedTuple):
     kind: str  # SWAP, OVERLAP_LEFT or OVERLAP_RIGHT
@@ -102,9 +104,6 @@ def overlap_switch(r: ReductionSequence, i: int, direction: str) -> ReductionSeq
     return ReductionSequence(r.word, steps[:i] + (target,) + steps[i + 1:])
 
 
-_DIRECTION_OF = {OVERLAP_LEFT: LEFT, OVERLAP_RIGHT: RIGHT}
-
-
 def apply_move(r: ReductionSequence, move: Move) -> ReductionSequence:
     if move.kind == SWAP:
         return swap(r, move.at)
@@ -139,7 +138,7 @@ def applicable_moves(r: ReductionSequence) -> list[tuple[Move, ReductionSequence
     for i, p in enumerate(steps):
         if i + 1 < len(steps) and steps[i + 1] != p - 1:
             out.append((Move(SWAP, i), swap(r, i)))
-        for kind, direction in ((OVERLAP_LEFT, LEFT), (OVERLAP_RIGHT, RIGHT)):
+        for kind, direction in _DIRECTION_OF.items():
             target = _overlap_target(trace[i], p, direction)
             if target is not None:
                 edited = steps[:i] + (target,) + steps[i + 1:]
@@ -147,14 +146,18 @@ def applicable_moves(r: ReductionSequence) -> list[tuple[Move, ReductionSequence
     return out
 
 
-_KINDS = (SWAP, OVERLAP_LEFT, OVERLAP_RIGHT)
+_KINDS = (SWAP, *_DIRECTION_OF)
 
 
 def parse_move(text: str) -> Move:
     kind, sep, at = text.strip().partition("@")
-    if not sep or kind not in _KINDS or not (at.isascii() and at.isdigit()):
-        raise ParseError("bad move", token=text.strip())
-    return Move(kind, int(at))
+    try:
+        if not sep or kind not in _KINDS or not (at.isascii() and at.isdigit()):
+            raise ValueError(text)
+        return Move(kind, int(at))
+    except ValueError:
+        # int() also refuses more digits than its integer string limit
+        raise ParseError("bad move", token=text.strip()) from None
 
 
 def parse_chain(text: str) -> MoveChain:

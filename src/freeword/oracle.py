@@ -33,20 +33,25 @@ PAIR_SAMPLES = 50
 Steps = tuple[int, ...]
 
 
-def _step_lists(w: Word, memo: dict[Word, tuple[Steps, ...]]) -> tuple[Steps, ...]:
-    # recursion over subwords; memo lives for one enumerate_sequences
-    # call, so each subword of w is expanded once and nothing is kept
-    # after the call returns
-    if not w:
-        return ((),)
-    if w in memo:
-        return memo[w]
-    found = []
-    for p in find_redexes(w):
-        shorter = w[:p] + w[p + 2:]
-        found.extend((p,) + tail for tail in _step_lists(shorter, memo))
-    memo[w] = tuple(found)
-    return memo[w]
+def _step_lists(w: Word) -> tuple[Steps, ...]:
+    # bottom-up, so no word is too long for the stack.  First every
+    # nonempty subword reachable by cancelling, one length at a time,
+    # longest first, each with its (p, shorter) list; then the step
+    # lists, shortest word first.  Each subword is expanded once, and
+    # nothing is kept after the call returns.
+    shorter_of: dict[Word, list[tuple[int, Word]]] = {}
+    layer = [w]
+    while layer and layer[0]:  # words of one length, so only () is empty
+        found: dict[Word, None] = {}  # the next layer, each word once
+        for u in layer:
+            pairs = shorter_of[u] = [(p, u[:p] + u[p + 2:]) for p in find_redexes(u)]
+            for _, v in pairs:
+                found[v] = None
+        layer = list(found)
+    lists: dict[Word, tuple[Steps, ...]] = {(): ((),)}
+    for u, pairs in reversed(shorter_of.items()):
+        lists[u] = tuple([(p,) + tail for p, v in pairs for tail in lists[v]])
+    return lists[w]
 
 
 def enumerate_sequences(w: Word, cap: int = DEFAULT_CAP) -> list[ReductionSequence]:
@@ -55,7 +60,7 @@ def enumerate_sequences(w: Word, cap: int = DEFAULT_CAP) -> list[ReductionSequen
     empty word has exactly the empty sequence."""
     if len(w) > cap:
         raise CapExceeded(len(w), cap)
-    return [ReductionSequence(w, steps) for steps in _step_lists(w, {})]
+    return [ReductionSequence(w, steps) for steps in _step_lists(w)]
 
 
 @dataclass

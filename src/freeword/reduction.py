@@ -31,16 +31,10 @@ class ReductionSequence(NamedTuple):
     steps: tuple[int, ...]
 
 
-def _pair_at(w: Word, p: int) -> tuple | None:
-    if 0 <= p <= len(w) - 2:
-        return (w[p], w[p + 1])
-    return None
-
-
 def apply_step(w: Word, p: int) -> Word:
     """Remove the cancelling pair at positions p and p+1."""
     if not is_redex_at(w, p):
-        raise InvalidRedex(p, pair=_pair_at(w, p))
+        raise InvalidRedex(p, w)
     return w[:p] + w[p + 2:]
 
 
@@ -54,7 +48,7 @@ def validate_sequence(w: Word, positions: Iterable[int]) -> ReductionSequence:
     current = w
     for k, p in enumerate(steps):
         if not is_redex_at(current, p):
-            raise InvalidRedex(p, pair=_pair_at(current, p), step=k)
+            raise InvalidRedex(p, current, step=k)
         current = current[:p] + current[p + 2:]
     if current:
         raise IncompleteReduction(current)
@@ -74,12 +68,15 @@ def run_sequence(r: ReductionSequence) -> list[Word]:
 
 def parse_steps(text: str) -> tuple[int, ...]:
     """Parse ``3,0,0`` (or ``3 0 0``) into a position tuple.  Positions
-    are ASCII digits only."""
+    are ASCII digits only, and no longer than int() converts."""
     steps = []
     for part in text.replace(",", " ").split():
-        if not (part.isascii() and part.isdigit()):
-            raise ParseError("bad step position", token=part)
-        steps.append(int(part))
+        try:
+            if not (part.isascii() and part.isdigit()):
+                raise ValueError(part)
+            steps.append(int(part))
+        except ValueError:
+            raise ParseError("bad step position", token=part) from None
     return tuple(steps)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import SignedGenerator, Word, invert, is_redex_at
 from .errors import IncompleteReduction, InvalidRedex, NoOverlap, NotIndependent, WordMismatch
 from .moves import LEFT, OVERLAP_LEFT, OVERLAP_RIGHT, RIGHT, SWAP, Move, MoveChain
-from .reduction import ReductionSequence, _pair_at, apply_step, validate_sequence
+from .reduction import ReductionSequence, apply_step, validate_sequence
 
 
 def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
@@ -33,7 +33,7 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
     once, on entry; the moves keep every step in the word it acts on.
     """
     if not is_redex_at(word, p):
-        raise InvalidRedex(p, pair=_pair_at(word, p))
+        raise InvalidRedex(p, word)
     if steps and steps[0] == p:
         # already in front: the scan would stop at k = 0 with no moves
         return []

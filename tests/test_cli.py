@@ -228,6 +228,9 @@ def test_check_rejects_max_len_beyond_cap(capsys):
 @pytest.mark.parametrize("argv", [
     ("reduce", "a a'", "--steps", "\u00b2"),
     ("connect", "a a'", "0", "\u00b2"),
+    # beyond the digits int() converts: a bare ValueError, exit 1
+    ("reduce", "a a'", "--steps", "1" * 5000),
+    ("connect", "a a'", "0", "1" * 5000),
 ])
 def test_non_ascii_step_digits_are_a_parse_error(capsys, argv):
     # used to pass str.isdigit and crash in int() with a traceback, exit 1
@@ -276,6 +279,27 @@ def test_check_rejects_empty_alphabet(capsys):
     assert code == 2
 
 
+def test_check_rejects_a_repeated_alphabet_name(capsys):
+    # used to count the 7 distinct words over a as 21 and exit 0
+    code, out, err = run(capsys, "check", "--alphabet", "a,a", "--max-len", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: alphabet names must be distinct: 'a'\n"
+
+
+@pytest.mark.parametrize("command,first_line", [
+    ("sequences", "1199,1198,"),
+    ("graph", "nodes 1 edges 0 connected yes"),
+])
+def test_deep_word_enumerates_without_recursion(capsys, command, first_line):
+    # one stack frame per cancelled pair used to end in a RecursionError
+    word = " ".join(["a"] * 1200 + ["a'"] * 1200)
+    code, out, err = run(capsys, command, word, "--cap", "3000")
+    assert code == 0
+    assert err == ""
+    assert out.startswith(first_line)
+
+
 def test_module_entry_point():
     import subprocess
     import sys
@@ -286,6 +310,24 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "nil\n"
+
+
+def test_reader_closing_stdout_early_exits_2_without_a_traceback():
+    import subprocess
+    import sys
+
+    # 10,395 lines, more than the pipe holds, so printing hits the closed end
+    word = " ".join(["a a'"] * 6)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "freeword", "sequences", word],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"0,0,0,0,0,0\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 2
+    assert err == b""
 
 
 # Byte-for-byte pin of the whole CLI surface: every subcommand in text

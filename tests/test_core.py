@@ -6,6 +6,7 @@ from freeword.core import (
     NEGATIVE,
     POSITIVE,
     SignedGenerator,
+    cancels,
     find_redexes,
     invert,
     is_redex_at,
@@ -57,6 +58,13 @@ def test_invert_is_an_involution(item):
 @given(items)
 def test_invert_keeps_name(item):
     assert invert(item).name == item.name
+
+
+def test_cancels_exactly_against_the_inverse():
+    signed_items = [SignedGenerator(n, s) for n in "ab" for s in (POSITIVE, NEGATIVE)]
+    for x in signed_items:
+        for y in signed_items:
+            assert cancels(x, y) == (x == invert(y))
 
 
 def test_is_redex_at_both_orders():

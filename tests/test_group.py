@@ -12,7 +12,9 @@ from freeword.core import (
     parse_word,
     signed,
 )
-from freeword.group import abelianize, cons, eq, inv, is_normal, mul, normal_form
+from freeword.group import (
+    abelianize, cons, eq, greedy_reduction, inv, is_normal, mul, normal_form,
+)
 from freeword.reduction import apply_step
 
 
@@ -170,3 +172,14 @@ def test_one_generator_group_is_the_integers_small():
             assert abelianize(mul(word_of(i), word_of(j))).get("a", 0) == i + j
     for k in range(-5, 6):
         assert inv(word_of(k)) == word_of(-k)
+
+
+@given(words)
+def test_greedy_reduction_replays_leftmost_steps_to_the_normal_form(word):
+    positions, reduced = greedy_reduction(word)
+    current = word
+    for p in positions:
+        assert p == find_redexes(current)[0]
+        current = apply_step(current, p)
+    assert current == reduced
+    assert find_redexes(reduced) == []

@@ -204,7 +204,7 @@ def test_parse_move():
 
 def test_parse_move_rejects_garbage():
     for bad in ["swap", "swap@", "@3", "spin@1", "swap@-1", "swap@x",
-                "swap@\u00b2", "ovl@\u0661", "ovr@\uff11"]:
+                "swap@\u00b2", "ovl@\u0661", "ovr@\uff11", "swap@" + "9" * 5000]:
         with pytest.raises(ParseError):
             parse_move(bad)
 

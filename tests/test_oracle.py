@@ -57,6 +57,13 @@ def test_enumerate_respects_cap():
     assert enumerate_sequences(long_word, cap=14)
 
 
+def test_enumerate_a_word_deeper_than_the_recursion_limit():
+    # 1,200 nested pairs: one frame per pair used to overflow the stack
+    deep = w(" ".join(["a"] * 1200 + ["a'"] * 1200))
+    sequences = enumerate_sequences(deep, cap=2400)
+    assert [s.steps for s in sequences] == [tuple(range(1199, -1, -1))]
+
+
 def test_enumerated_sequences_are_valid_unique_lexicographic():
     for text in ["a a' b b'", "a a' a a'", "a a' b c c' b'", "b' b b' b a a'"]:
         word = w(text)
