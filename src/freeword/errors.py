@@ -27,16 +27,22 @@ class FreewordError(Exception):
 
 class InvalidArgument(FreewordError, ValueError):
     """An argument outside its allowed values: a sign, an overlap
-    direction or a move kind.  Also a ValueError, as for the builtins."""
+    direction, a move kind or a pair limit.  Also a ValueError, as for
+    the builtins."""
 
 
 class ParseError(FreewordError):
-    """Malformed word, sequence, or move text."""
+    """Malformed word, sequence, or move text.
 
-    def __init__(self, message: str, token: str | None = None, offset: int | None = None):
-        detail = message
-        if token is not None:
-            detail += f": {token!r}"
+    The message echoes at most the first 40 characters of a longer
+    token, with its length; ``token`` keeps all of it.
+    """
+
+    def __init__(self, message: str, token: str, offset: int | None = None):
+        if len(token) <= 40:
+            detail = f"{message}: {token!r}"
+        else:
+            detail = f"{message}: {token[:40]!r}... ({len(token)} characters)"
         if offset is not None:
             detail += f" (offset {offset})"
         super().__init__(detail)

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .core import NEGATIVE, POSITIVE, SignedGenerator, Word, find_redexes, invert, render_word
-from .errors import CapExceeded, FreewordError
+from .errors import CapExceeded, FreewordError, InvalidArgument
 from .group import normal_form
 from .moves import Move, applicable_moves, apply_move
 from .reduction import ReductionSequence
@@ -155,8 +155,9 @@ def check_pairs(
 ) -> TransformReport:
     """Replay-check transform_to over ordered pairs of the graph's nodes.
 
-    Exhaustive over all ordered pairs by default; pass pair_limit to
-    sample that many pairs instead (seeded rng for reproducibility).
+    Exhaustive over all ordered pairs by default; pass pair_limit, at
+    least 1, to sample that many pairs instead (seeded rng for
+    reproducibility).  A transform_to that raises is a failure too.
     Each pair must replay from start to target through known nodes
     within the k(k+1)/2 + k length bound, and the target must also be
     reachable by single moves.  Its BFS distance, reported alongside
@@ -166,6 +167,8 @@ def check_pairs(
     expanded twice for one start, and a sampled pair stops at its
     target's layer.
     """
+    if pair_limit is not None and pair_limit < 1:
+        raise InvalidArgument(f"pair limit must be at least 1, got {pair_limit!r}")
     word = graph.word
     nodes = graph.nodes
     report = TransformReport(word)
@@ -203,7 +206,12 @@ def check_pairs(
         for _, s in group:
             target = s.steps
             report.pair_count += 1
-            chain = transform_to(r, s)
+            try:
+                chain = transform_to(r, s)
+            except FreewordError as err:
+                # on two graph nodes it raises only through a defect
+                fail(start, target, None, str(err))
+                continue
             report.max_chain_length = max(report.max_chain_length, len(chain))
             if len(chain) > bound:
                 fail(start, target, None, f"chain length {len(chain)} exceeds bound {bound}")

@@ -10,8 +10,8 @@ explicit move chains, so each rewrite can be replayed and audited.
 from __future__ import annotations
 
 from .core import SignedGenerator, Word, invert, is_redex_at
-from .errors import IncompleteReduction, InvalidRedex, NoOverlap, NotIndependent, WordMismatch
-from .moves import LEFT, OVERLAP_LEFT, OVERLAP_RIGHT, RIGHT, SWAP, Move, MoveChain
+from .errors import IncompleteReduction, InvalidRedex, WordMismatch
+from .moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move, MoveChain
 from .reduction import ReductionSequence, apply_step, validate_sequence
 
 
@@ -20,54 +20,38 @@ def _front(word: Word, steps: list[int], p: int, lift: int) -> list[Move]:
     place so that its first step removes the redex at p; return the
     moves doing that, their step indices lifted by ``lift``.
 
-    One scan with the surviving original indices finds k, the first
-    step to consume item p or item p+1, and the items around it.  If
-    that step takes both, it is bubbled to the front with adjacent
-    swaps (never blocked: a step independent of everything before it
-    stays independent while moving left).  Otherwise it takes one of
-    them together with a third, equal neighbour, an overlapping
-    configuration; one overlap switch retargets it onto the marked pair
-    first.  Each move is done as arithmetic on the list, with the
-    checks of swap and overlap_switch.  Steps that run out before
-    consuming p raise IncompleteReduction.  Callers validate the start
-    once, on entry; the moves keep every step in the word it acts on.
+    x is the position of item p in the word each step acts on, and item
+    p+1 is at x+1 until k, the first step to take either: at x it takes
+    both and is bubbled to the front with adjacent swaps; at x+1 or x-1
+    one overlap switch first retargets it onto the marked pair.  steps
+    is complete, validated by the callers and kept valid by every move,
+    so item p is consumed and the scan always stops.  In an overlap the
+    third item cancels the same item as the marked one, so the two are
+    equal.  The bubbled step takes two items adjacent in word, so it is
+    never nested over an earlier step, and the swaps land it on p.
     """
     if not is_redex_at(word, p):
         raise InvalidRedex(p, word)
-    if steps and steps[0] == p:
+    if steps[0] == p:
         # already in front: the scan would stop at k = 0 with no moves
         return []
-    alive = list(range(len(word)))
+    x = p
     for k, q in enumerate(steps):
-        left, right = alive[q], alive[q + 1]
-        if left == p:
+        if q == x:
             moves = []
             break
-        if left == p + 1:
-            # item p+1 is cancelled rightwards first: pull the step onto (p, p+1)
-            if word[alive[q - 1]] != word[right]:
-                raise NoOverlap(k, q, LEFT)
-            steps[k] = q - 1
-            moves = [Move(OVERLAP_LEFT, k + lift)]
+        if q == x + 1 or q == x - 1:
+            # item p+1 is cancelled rightwards, or item p leftwards,
+            # first: pull the step onto (p, p+1)
+            steps[k] = x
+            moves = [Move(OVERLAP_LEFT if q > x else OVERLAP_RIGHT, k + lift)]
             break
-        if right == p:
-            # mirror case: item p is cancelled leftwards first
-            if q + 2 >= len(alive) or word[alive[q + 2]] != word[left]:
-                raise NoOverlap(k, q, RIGHT)
-            steps[k] = q + 1
-            moves = [Move(OVERLAP_RIGHT, k + lift)]
-            break
-        del alive[q:q + 2]
-    else:
-        # map, not a generator: a closure over word would slow every scan
-        raise IncompleteReduction(tuple(map(word.__getitem__, alive)))
+        if q < x:
+            x -= 2
     for i in range(k - 1, -1, -1):
         a, b = steps[i], steps[i + 1]
-        if b == a - 1:
-            raise NotIndependent(i, a, b)
         steps[i], steps[i + 1] = (b, a - 2) if b <= a - 2 else (b + 2, a)
         moves.append(Move(SWAP, i + lift))
-    assert steps[0] == p, "bubbled step must land on the marked redex"
     return moves
 
 

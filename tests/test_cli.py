@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from freeword import oracle
 from freeword.cli import main
+from freeword.errors import NotIndependent
 from freeword.transform import transform_to
 
 
@@ -238,6 +239,7 @@ def test_non_ascii_step_digits_are_a_parse_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad step position")
+    assert len(err) < 100  # a long token is echoed only in part
 
 
 @pytest.mark.parametrize("option,value", [
@@ -499,6 +501,20 @@ def test_cli_outputs_are_pinned(capsys, monkeypatch):
         argv = ("seeded",) + SEEDED_ARGV + flag
         got[argv] = _pin(*run(capsys, *argv[1:]))
     assert got == PINNED
+
+
+def test_check_reports_a_transform_to_that_raises(capsys, monkeypatch):
+    # used to exit 2, the code for bad input, on a defect of the program
+    def raising(r, s):
+        if s.steps == (2, 0):
+            raise NotIndependent(0, 1, 0)
+        return transform_to(r, s)
+
+    monkeypatch.setattr(oracle, "transform_to", raising)
+    code, out, err = run(capsys, *SEEDED_ARGV)
+    assert code == 1
+    assert err == ""
+    assert "transform failure: a a' a a' 0,0 -> 2,0: steps 0 and 1 are nested" in out
 
 
 # Exit-code contract: whatever the argv, main ends in 0, 1 or 2 (argparse

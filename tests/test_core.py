@@ -145,6 +145,14 @@ def test_parse_word_error_offset_points_at_token():
     assert err.value.token == "9z"
 
 
+def test_parse_word_error_echoes_a_long_token_in_part():
+    token = "9" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_word("a " + token)
+    assert err.value.token == token
+    assert str(err.value) == f"bad token in word: {token[:40]!r}... (5000 characters) (offset 2)"
+
+
 def test_render_word_examples():
     assert render_word(w("a a' b")) == "a a' b"
     assert render_word(()) == ""

@@ -209,6 +209,14 @@ def test_parse_move_rejects_garbage():
             parse_move(bad)
 
 
+def test_parse_move_error_echoes_a_long_token_in_part():
+    token = "swap@" + "9" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_move(token)
+    assert err.value.token == token
+    assert str(err.value) == f"bad move: {token[:40]!r}... (5005 characters)"
+
+
 def test_parse_render_chain_round_trip():
     chain = (Move(SWAP, 0), Move(OVERLAP_LEFT, 2), Move(OVERLAP_RIGHT, 1))
     assert render_chain(chain) == "swap@0,ovl@2,ovr@1"

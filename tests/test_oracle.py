@@ -7,7 +7,7 @@ import pytest
 
 from freeword import moves, oracle, transform
 from freeword.core import parse_word, render_word
-from freeword.errors import CapExceeded, NotIndependent
+from freeword.errors import CapExceeded, InvalidArgument, NotIndependent
 from freeword.group import normal_form
 from freeword.moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move, apply_move
 from freeword.oracle import (
@@ -182,6 +182,13 @@ def report_nodes(report):
     return enumerate_sequences(report.word)
 
 
+@pytest.mark.parametrize("pair_limit", [0, -5])
+def test_check_pairs_rejects_a_pair_limit_below_one(pair_limit):
+    # each used to check 0 pairs and report ok: a vacuous pass
+    with pytest.raises(InvalidArgument, match="pair limit"):
+        check_pairs(build_move_graph(w("a a' a a'")), pair_limit)
+
+
 def test_check_transform_chain_sampling():
     rng = random.Random(5)
     report = check_pairs(build_move_graph(w("a a' a a' a a'")), pair_limit=10, rng=rng)
@@ -326,6 +333,24 @@ def test_seeded_defect_failures_are_pinned(monkeypatch, module, name, defect):
         for f in failures
     )
     assert (len(failures), hashlib.sha256(text.encode()).hexdigest()) == PINNED_FAILURES[name]
+
+
+def transform_to_raising_at_2_0(r, s):
+    # a defect that raises instead of returning a chain
+    if s.steps == (2, 0):
+        raise NotIndependent(0, 1, 0)
+    return transform_to(r, s)
+
+
+def test_check_corpus_reports_a_transform_to_that_raises(monkeypatch):
+    # used to end the sweep with the error instead of reporting it
+    patch_with_cold_memo(monkeypatch, oracle, "transform_to", transform_to_raising_at_2_0)
+    report = check_corpus([w("a a' a a'")])
+    assert report.pairs_verified == 9
+    reason = str(NotIndependent(0, 1, 0))
+    assert [(f.start, f.target, f.move_index, f.reason) for f in report.transform_failures] == [
+        (start, (2, 0), None, reason) for start in [(0, 0), (1, 0), (2, 0)]
+    ]
 
 
 def swap_refusing_step_zero(r, i):

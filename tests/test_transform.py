@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeword import transform
-from freeword.core import invert, parse_word, signed
+from freeword.core import find_redexes, invert, parse_word, signed
 from freeword.errors import FreewordError, IncompleteReduction, InvalidRedex, WordMismatch
 from freeword.moves import Move, apply_chain, render_chain
 from freeword.oracle import all_words, enumerate_sequences, random_reducible_word
-from freeword.reduction import ReductionSequence, apply_step, validate_sequence
+from freeword.reduction import ReductionSequence, apply_step, render_steps, validate_sequence
 from freeword.transform import drop_redex, extend_reduction, front_reduction, transform_to
 
 
@@ -245,6 +245,40 @@ def test_transform_to_chains_are_pinned():
                 pairs += 1
     assert pairs == GOLDEN_CHAINS_PAIRS
     assert digest.hexdigest() == GOLDEN_CHAINS_SHA256
+
+
+# sha256 over words of 16 to 80 letters: render_chain(transform_to(r, s))
+# + "\n" for two random complete sequences r and s, then for every redex
+# p of the word render_chain(chain) + " " + render_steps(out.steps) + "\n"
+# where chain, out = front_reduction(r, p)
+GOLDEN_LONG_SHA256 = "f34302347c59604224cb2294808686802ba0b41fc12b88240a3057e44aca6127"
+GOLDEN_LONG_LINES = 744
+
+
+def random_sequence(word, rng):
+    current, steps = word, []
+    while current:
+        p = rng.choice(find_redexes(current))
+        steps.append(p)
+        current = apply_step(current, p)
+    return validate_sequence(word, steps)
+
+
+def test_chains_for_long_words_are_pinned():
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    lines = 0
+    for k in range(8, 41):
+        word = random_reducible_word(("a", "b", "c"), k, rng)
+        r, s = random_sequence(word, rng), random_sequence(word, rng)
+        digest.update((render_chain(transform_to(r, s)) + "\n").encode())
+        lines += 1
+        for p in find_redexes(word):
+            chain, out = front_reduction(r, p)
+            digest.update((render_chain(chain) + " " + render_steps(out.steps) + "\n").encode())
+            lines += 1
+    assert lines == GOLDEN_LONG_LINES
+    assert digest.hexdigest() == GOLDEN_LONG_SHA256
 
 
 # transform_to keeps the levels of its previous call from the same
