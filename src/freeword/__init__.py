@@ -10,7 +10,6 @@ checks the advertised properties exhaustively on small words.
 from types import ModuleType as _ModuleType
 
 from .core import (
-    EMPTY,
     NEGATIVE,
     POSITIVE,
     SignedGenerator,

@@ -20,7 +20,7 @@ import random
 import sys
 from dataclasses import asdict
 
-from .core import Word, parse_word, render_word, signed
+from .core import Word, parse_word, render_word
 from .errors import CapExceeded, FreewordError, ParseError
 from .group import abelianize, eq, greedy_reduction, inv, mul, normal_form
 from .moves import apply_move, render_chain
@@ -32,6 +32,7 @@ from .oracle import (
     check_corpus,
     enumerate_sequences,
     random_reducible_word,
+    signed_alphabet,
 )
 from .reduction import (
     ReductionSequence,
@@ -159,13 +160,7 @@ def cmd_check(args) -> CommandResult:
     names = tuple(part for part in args.alphabet.split(",") if part)
     if not names:
         raise ParseError("alphabet must name at least one generator", token=args.alphabet)
-    seen = set()
-    for name in names:
-        signed(name)
-        # a repeated name would count and draw every word more than once
-        if name in seen:
-            raise ParseError("alphabet names must be distinct", token=name)
-        seen.add(name)
+    signed_alphabet(names)
     # a corpus of no words would pass vacuously
     if args.max_len < 0:
         raise ParseError("--max-len must not be negative", token=str(args.max_len))

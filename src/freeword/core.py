@@ -37,8 +37,6 @@ class SignedGenerator(NamedTuple):
 
 Word = tuple[SignedGenerator, ...]
 
-EMPTY: Word = ()
-
 
 def signed(name: str, sign: int = POSITIVE) -> SignedGenerator:
     """Build a signed generator, validating the name and sign."""

@@ -19,8 +19,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import NEGATIVE, POSITIVE, SignedGenerator, Word, find_redexes, invert, render_word
-from .errors import CapExceeded, FreewordError, InvalidArgument
+from .core import SignedGenerator, Word, find_redexes, invert, render_word, signed
+from .errors import CapExceeded, FreewordError, InvalidArgument, ParseError
 from .group import normal_form
 from .moves import Move, applicable_moves, apply_move
 from .reduction import ReductionSequence
@@ -159,7 +159,7 @@ def check_pairs(
     least 1, to sample that many pairs instead (seeded rng for
     reproducibility).  A transform_to that raises is a failure too.
     Each pair must replay from start to target through known nodes
-    within the k(k+1)/2 + k length bound, and the target must also be
+    within the k(k-1)/2 length bound, and the target must also be
     reachable by single moves.  Its BFS distance, reported alongside
     the chain length for comparison, comes from one search per run of
     pairs from one start, which each pair resumes only until its target
@@ -172,10 +172,8 @@ def check_pairs(
     word = graph.word
     nodes = graph.nodes
     report = TransformReport(word)
-    if not nodes:
-        return report
     k = len(word) // 2
-    bound = k * (k + 1) // 2 + k
+    bound = k * (k - 1) // 2
     # when exhaustive, one sequence per node: building one per pair
     # made the 180-sequence pair check measurably slower
     if pair_limit is None or len(nodes) ** 2 <= pair_limit:
@@ -186,19 +184,17 @@ def check_pairs(
         draws = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_limit))
         pairs = ((ReductionSequence(word, a), ReductionSequence(word, b)) for a, b in draws)
     node_set = set(nodes)
+    # moved[steps, move] is the known node that move turns steps into.
+    # apply_move is pure and the graph has one word, so a move met again,
+    # from any start, is looked up; a move that raises or leaves the
+    # node set is not stored, so it fails again on every chain holding it.
+    moved: dict[tuple[Steps, Move], ReductionSequence] = {}
 
     def fail(start, target, move_index, reason):
         report.failures.append(TransformFailure(word, start, target, move_index, reason))
 
     for r, group in itertools.groupby(pairs, key=operator.itemgetter(0)):
         start = r.steps
-        # trail[i] is r after the first i moves of the previous chain.
-        # Chains to neighbouring targets share long prefixes, and
-        # apply_move is pure, so only the moves past the shared prefix
-        # are replayed; a failure inside that prefix recurs, since the
-        # trail stops before the move that failed.
-        trail = [r]
-        previous: tuple[Move, ...] = ()
         # one breadth-first search per start: each pair resumes it only
         # until its target has a distance
         dist = {start: 0}
@@ -215,23 +211,21 @@ def check_pairs(
             report.max_chain_length = max(report.max_chain_length, len(chain))
             if len(chain) > bound:
                 fail(start, target, None, f"chain length {len(chain)} exceeds bound {bound}")
-            shared = 0
-            limit = min(len(chain), len(trail) - 1)
-            while shared < limit and chain[shared] == previous[shared]:
-                shared += 1
-            del trail[shared + 1:]
-            previous = chain
-            current = trail[shared]
-            for idx in range(shared, len(chain)):
-                try:
-                    current = apply_move(current, chain[idx])
-                except FreewordError as err:
-                    fail(start, target, idx, str(err))
-                    break
-                if current.steps not in node_set:
-                    fail(start, target, idx, "intermediate sequence is not a known node")
-                    break
-                trail.append(current)
+            current = r
+            for idx, move in enumerate(chain):
+                key = (current.steps, move)
+                result = moved.get(key)
+                if result is None:
+                    try:
+                        result = apply_move(current, move)
+                    except FreewordError as err:
+                        fail(start, target, idx, str(err))
+                        break
+                    if result.steps not in node_set:
+                        fail(start, target, idx, "intermediate sequence is not a known node")
+                        break
+                    moved[key] = result
+                current = result
             else:
                 if current.steps != target:
                     fail(start, target, None, "chain does not replay to the target")
@@ -245,8 +239,16 @@ def check_pairs(
 
 def signed_alphabet(names: tuple[str, ...] | list[str]) -> tuple[SignedGenerator, ...]:
     """The 2n signed items over the given names, in name order with the
-    positive item first."""
-    return tuple(SignedGenerator(n, s) for n in names for s in (POSITIVE, NEGATIVE))
+    positive item first.  Raises ParseError at the first name that is
+    not a generator name or repeats an earlier one, since a repeated
+    name would yield every word more than once."""
+    letters: dict[SignedGenerator, None] = {}
+    for name in names:
+        item = signed(name)
+        if item in letters:
+            raise ParseError("alphabet names must be distinct", token=name)
+        letters[item] = letters[invert(item)] = None
+    return tuple(letters)
 
 
 def all_words(names: tuple[str, ...] | list[str], length: int):

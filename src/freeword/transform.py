@@ -90,11 +90,13 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     drop the now-identical first step, and continue on the shorter word.
     Moves found at level j apply past the j fixed steps, so their step
     indices are lifted by j.  The chain is correct, not minimal:
-    apply_chain(r, result) == s, with length at most k(k+1)/2 + k for
-    k steps.  r == s may return a nonempty chain that replays to r
-    itself.  r is validated whole on the way in, as by front_reduction;
-    a step of s that is not a redex raises InvalidRedex, and steps of s
-    that stop early raise IncompleteReduction.
+    apply_chain(r, result) == s, with length at most k(k-1)/2 for k
+    steps, since a level with m steps left makes at most m-1 moves (an
+    overlap needs three items, so it is never on the last step).
+    r == s may return a nonempty chain that replays to r itself.  r is
+    validated whole on the way in, as by front_reduction; a step of s
+    that is not a redex raises InvalidRedex, and steps of s that stop
+    early raise IncompleteReduction.
 
     The state after level j depends only on r and the first j steps of
     s, so one slot keeps the previous successful call, with a snapshot

@@ -108,7 +108,7 @@ def test_criterion_02_transform_chains_replay(corpus_reports):
     longest = max(exhaustive.max_chain_length, randomised.max_chain_length)
     assert report(
         2,
-        "transform_to chains replay within the k(k+1)/2+k bound",
+        "transform_to chains replay within the k(k-1)/2 bound",
         not failures,
         f"{pairs} ordered pairs, longest chain {longest}",
     ), failures[:5]

@@ -1,18 +1,20 @@
 import hashlib
 import json
 import random
+import re
 from collections import deque
 
 import pytest
 
 from freeword import moves, oracle, transform
 from freeword.core import parse_word, render_word
-from freeword.errors import CapExceeded, InvalidArgument, NotIndependent
+from freeword.errors import CapExceeded, InvalidArgument, NotIndependent, ParseError
 from freeword.group import normal_form
 from freeword.moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move, apply_move
 from freeword.oracle import (
     DEFAULT_CAP,
     MoveGraph,
+    TransformReport,
     all_words,
     build_move_graph,
     check_connected,
@@ -189,6 +191,13 @@ def test_check_pairs_rejects_a_pair_limit_below_one(pair_limit):
         check_pairs(build_move_graph(w("a a' a a'")), pair_limit)
 
 
+@pytest.mark.parametrize("pair_limit", [None, 1])
+def test_check_pairs_on_an_irreducible_word_checks_no_pair(pair_limit):
+    graph = build_move_graph(w("a b"))
+    assert graph.nodes == ()
+    assert check_pairs(graph, pair_limit) == TransformReport(w("a b"))
+
+
 def test_check_transform_chain_sampling():
     rng = random.Random(5)
     report = check_pairs(build_move_graph(w("a a' a a' a a'")), pair_limit=10, rng=rng)
@@ -205,6 +214,18 @@ def test_chain_length_dominates_bfs_distance():
 def test_signed_alphabet_order():
     letters = signed_alphabet(("a", "b"))
     assert [str(x) for x in letters] == ["a", "a'", "b", "b'"]
+
+
+def test_signed_alphabet_rejects_a_name_that_is_not_a_generator():
+    # "a b" used to make one item that renders as two tokens
+    with pytest.raises(ParseError, match="not a valid generator name"):
+        list(all_words(("a b",), 1))
+
+
+def test_signed_alphabet_rejects_a_repeated_name():
+    # ("a", "a") used to yield every word twice
+    with pytest.raises(ParseError, match="alphabet names must be distinct"):
+        list(all_words(("a", "a"), 1))
 
 
 def test_all_words_counts():
@@ -314,8 +335,8 @@ def test_check_corpus_reports_seeded_defects(monkeypatch, module, name, defect):
 # Count and sha256 of every transform failure (word, start, target,
 # move index, reason) that check_corpus(SELF_TEST_WORDS) reports under
 # each seeded defect, recorded while every chain was still replayed from
-# its start.  Replaying only past the prefix a chain shares with the
-# previous one must report the very same failures, in the same order.
+# its start.  Looking moves up in check_pairs' table of applied moves
+# must report the very same failures, in the same order.
 PINNED_FAILURES = {
     "transform_to": (4872, "8aa5f1d6cec88b71d4e6940a40f26d0f06f1a137610451c8190b156675ac5ad6"),
     "swap": (6712, "c38de5441588260c40b9fcfc51160d7e03f4fde69ed60d4427f5dbb44305b732"),
@@ -353,6 +374,38 @@ def test_check_corpus_reports_a_transform_to_that_raises(monkeypatch):
     ]
 
 
+def padding_transform_to(r, s):
+    # a correct chain padded past k(k-1)/2 moves with a legal swap
+    # applied twice, which replays to the target all the same
+    chain = transform_to(r, s)
+    k = len(s.steps)
+    swaps = [Move(SWAP, i) for i in range(k - 1) if s.steps[i + 1] != s.steps[i] - 1]
+    while swaps and len(chain) <= k * (k - 1) // 2:
+        chain += (swaps[0], swaps[0])
+    return chain
+
+
+def test_check_corpus_reports_a_chain_past_the_length_bound(monkeypatch):
+    # replay and the BFS pass, so only the length bound can catch it
+    patch_with_cold_memo(monkeypatch, oracle, "transform_to", padding_transform_to)
+    report = check_corpus(SELF_TEST_WORDS)
+    padded = []
+    for word in SELF_TEST_WORDS:
+        nodes = build_move_graph(word).nodes
+        k = len(word) // 2
+        padded += [
+            (word, start, target) for start in nodes for target in nodes
+            if len(padding_transform_to(ReductionSequence(word, start),
+                                        ReductionSequence(word, target))) > k * (k - 1) // 2
+        ]
+    assert padded
+    assert sorted((f.word, f.start, f.target) for f in report.transform_failures) == sorted(padded)
+    for f in report.transform_failures:
+        assert f.move_index is None
+        assert re.fullmatch(r"chain length \d+ exceeds bound \d+", f.reason)
+    assert report.disconnected == report.mismatched == []
+
+
 def swap_refusing_step_zero(r, i):
     # calls every pair of steps 0 and 1 nested
     if i == 0:
@@ -385,30 +438,32 @@ def test_check_pairs_reports_a_failure_inside_a_shared_prefix(monkeypatch):
 SWEEP_WORD = "b b' b b' c c' a b c c' b' a'"
 
 
-def test_check_pairs_replays_only_past_the_shared_prefix(monkeypatch):
+def test_check_pairs_applies_each_move_once_per_node(monkeypatch):
     graph = build_move_graph(w("a a' a a' b b'"))
     calls = []
 
     def counting_apply_move(r, move):
-        calls.append(move)
+        calls.append((r.steps, move))
         return apply_move(r, move)
 
     monkeypatch.setattr(oracle, "apply_move", counting_apply_move)
     report = check_pairs(graph)
     assert report.ok
-    total = unshared = 0
+    # chains from every start meet the same (node, move) pairs again and
+    # again; each is applied once
+    met = set()
+    total = 0
     for start in graph.nodes:
         r = ReductionSequence(graph.word, start)
-        previous = ()
         for target in graph.nodes:
             chain = transform_to(r, ReductionSequence(graph.word, target))
-            shared = 0
-            while shared < min(len(chain), len(previous)) and chain[shared] == previous[shared]:
-                shared += 1
             total += len(chain)
-            unshared += len(chain) - shared
-            previous = chain
-    assert len(calls) == unshared < total
+            current = r
+            for move in chain:
+                met.add((current.steps, move))
+                current = apply_move(current, move)
+    assert sorted(calls) == sorted(met)
+    assert len(met) < total
 
 
 def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):

@@ -212,11 +212,24 @@ def test_transform_to_contract_over_corpus():
         word = w(text)
         nodes = enumerate_sequences(word)
         k = len(word) // 2
-        bound = k * (k + 1) // 2 + k
+        bound = k * (k - 1) // 2
         for r, s in itertools.product(nodes, nodes):
             chain = transform_to(r, s)
             assert apply_chain(r, chain) == s
             assert len(chain) <= bound
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_transform_to_chain_bound_is_attained(k):
+    # a level with m steps left makes at most m - 1 moves, and some
+    # one-letter word of k pairs needs every one of them
+    longest = max(
+        len(transform_to(r, s))
+        for word in all_words(("a",), 2 * k)
+        for nodes in [enumerate_sequences(word)]
+        for r, s in itertools.product(nodes, nodes)
+    )
+    assert longest == k * (k - 1) // 2
 
 
 def test_transform_to_lifts_tail_moves():
