@@ -150,14 +150,12 @@ class TransformReport:
         return not self.failures
 
 
-def check_pairs(
-    graph: MoveGraph, pair_limit: int | None = None, rng: random.Random | None = None
-) -> TransformReport:
+def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> TransformReport:
     """Replay-check transform_to over ordered pairs of the graph's nodes.
 
-    Exhaustive over all ordered pairs by default; pass pair_limit, at
-    least 1, to sample that many pairs instead (seeded rng for
-    reproducibility).  A transform_to that raises is a failure too.
+    Every ordered pair is checked when the graph has at most
+    PAIR_THRESHOLD nodes; beyond that, PAIR_SAMPLES pairs are drawn from
+    rng (default Random(0)).  A transform_to that raises is a failure too.
     Each pair must replay from start to target through known nodes
     within the k(k-1)/2 length bound, and the target must also be
     reachable by single moves.  Its BFS distance, reported alongside
@@ -167,8 +165,6 @@ def check_pairs(
     expanded twice for one start, and a sampled pair stops at its
     target's layer.
     """
-    if pair_limit is not None and pair_limit < 1:
-        raise InvalidArgument(f"pair limit must be at least 1, got {pair_limit!r}")
     word = graph.word
     nodes = graph.nodes
     report = TransformReport(word)
@@ -176,12 +172,12 @@ def check_pairs(
     bound = k * (k - 1) // 2
     # when exhaustive, one sequence per node: building one per pair
     # made the 180-sequence pair check measurably slower
-    if pair_limit is None or len(nodes) ** 2 <= pair_limit:
+    if len(nodes) <= PAIR_THRESHOLD:
         sequences = [ReductionSequence(word, node) for node in nodes]
         pairs = itertools.product(sequences, sequences)
     else:
         rng = rng or random.Random(0)
-        draws = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(pair_limit))
+        draws = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(PAIR_SAMPLES))
         pairs = ((ReductionSequence(word, a), ReductionSequence(word, b)) for a, b in draws)
     node_set = set(nodes)
     # moved[steps, move] is the known node that move turns steps into.
@@ -253,7 +249,10 @@ def signed_alphabet(names: tuple[str, ...] | list[str]) -> tuple[SignedGenerator
 
 def all_words(names: tuple[str, ...] | list[str], length: int):
     """Every word of exactly this length, lexicographic over the signed
-    alphabet.  4^length words for two names, so keep lengths small."""
+    alphabet.  4^length words for two names, so keep lengths small.
+    Raises InvalidArgument, once iterated, for a negative length."""
+    if length < 0:
+        raise InvalidArgument(f"word length must not be negative, got {length!r}")
     yield from itertools.product(signed_alphabet(names), repeat=length)
 
 
@@ -262,8 +261,13 @@ def random_reducible_word(
 ) -> Word:
     """A word of length 2*pairs with empty normal form, built by
     repeatedly inserting a cancelling pair at a random position.  Every
-    fully reducible word can arise this way."""
+    fully reducible word can arise this way.  Raises InvalidArgument
+    for a negative pair count, or for pairs from an empty alphabet."""
+    if pairs < 0:
+        raise InvalidArgument(f"pair count must not be negative, got {pairs!r}")
     letters = signed_alphabet(names)
+    if pairs and not letters:
+        raise InvalidArgument("cannot draw cancelling pairs from an empty alphabet")
     word: Word = ()
     for _ in range(pairs):
         item = rng.choice(letters)
@@ -294,10 +298,10 @@ def check_corpus(words, cap: int = DEFAULT_CAP, seed: int = 0) -> CorpusReport:
     """Run the full battery over a corpus of words.
 
     Per word: the reducible/empty-normal-form equivalence, move-graph
-    connectivity, and transform_to replay checks.  Pairs are exhaustive
-    up to PAIR_THRESHOLD nodes and sampled (PAIR_SAMPLES of them)
-    beyond.  Words are processed in sorted text order, so reports are
-    deterministic whatever order the corpus arrives in.
+    connectivity, and transform_to replay checks; check_pairs draws the
+    pairs of every sampled word from one Random(seed).  Words are
+    processed in sorted text order, so reports are deterministic
+    whatever order the corpus arrives in.
     """
     rng = random.Random(seed)
     report = CorpusReport()
@@ -311,8 +315,7 @@ def check_corpus(words, cap: int = DEFAULT_CAP, seed: int = 0) -> CorpusReport:
             continue
         if not check_connected(graph):
             report.disconnected.append(w)
-        limit = None if len(graph.nodes) <= PAIR_THRESHOLD else PAIR_SAMPLES
-        sub = check_pairs(graph, limit, rng)
+        sub = check_pairs(graph, rng)
         report.pairs_verified += sub.pair_count
         report.max_chain_length = max(report.max_chain_length, sub.max_chain_length)
         report.max_bfs_distance = max(report.max_bfs_distance, sub.max_bfs_distance)

@@ -184,24 +184,27 @@ def report_nodes(report):
     return enumerate_sequences(report.word)
 
 
-@pytest.mark.parametrize("pair_limit", [0, -5])
-def test_check_pairs_rejects_a_pair_limit_below_one(pair_limit):
-    # each used to check 0 pairs and report ok: a vacuous pass
-    with pytest.raises(InvalidArgument, match="pair limit"):
-        check_pairs(build_move_graph(w("a a' a a'")), pair_limit)
-
-
-@pytest.mark.parametrize("pair_limit", [None, 1])
-def test_check_pairs_on_an_irreducible_word_checks_no_pair(pair_limit):
+def test_check_pairs_on_an_irreducible_word_checks_no_pair():
     graph = build_move_graph(w("a b"))
     assert graph.nodes == ()
-    assert check_pairs(graph, pair_limit) == TransformReport(w("a b"))
+    assert check_pairs(graph) == TransformReport(w("a b"))
 
 
-def test_check_transform_chain_sampling():
-    rng = random.Random(5)
-    report = check_pairs(build_move_graph(w("a a' a a' a a'")), pair_limit=10, rng=rng)
+def test_check_transform_chain_sampling(monkeypatch):
+    monkeypatch.setattr(oracle, "PAIR_THRESHOLD", 14)
+    monkeypatch.setattr(oracle, "PAIR_SAMPLES", 10)
+    report = check_pairs(build_move_graph(w("a a' a a' a a'")), random.Random(5))
     assert report.pair_count == 10
+    assert report.ok
+
+
+@pytest.mark.parametrize("threshold,pair_count", [(15, 15 ** 2), (14, oracle.PAIR_SAMPLES)])
+def test_check_pairs_samples_only_above_the_threshold(monkeypatch, threshold, pair_count):
+    graph = build_move_graph(w("a a' a a' a a'"))
+    assert len(graph.nodes) == 15
+    monkeypatch.setattr(oracle, "PAIR_THRESHOLD", threshold)
+    report = check_pairs(graph)
+    assert report.pair_count == pair_count
     assert report.ok
 
 
@@ -232,6 +235,18 @@ def test_all_words_counts():
     assert len(list(all_words(("a", "b"), 0))) == 1
     assert len(list(all_words(("a", "b"), 2))) == 16
     assert len(list(all_words(("a", "b", "c"), 2))) == 36
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: list(all_words(("a", "b"), -1)), "word length must not be negative"),
+    (lambda: random_reducible_word((), 2, random.Random(0)), "empty alphabet"),
+    (lambda: random_reducible_word(("a", "b"), -3, random.Random(0)),
+     "pair count must not be negative"),
+], ids=["negative-length", "empty-alphabet", "negative-pairs"])
+def test_corpus_generators_reject_bad_arguments(make, message):
+    # these raised itertools' ValueError, an IndexError, and returned ()
+    with pytest.raises(InvalidArgument, match=message):
+        make()
 
 
 def test_random_reducible_word_is_reducible_and_seeded():
@@ -274,6 +289,23 @@ def test_check_corpus_sampling_policy():
     report = check_corpus([word])
     assert report.pairs_verified == 50
     assert report.ok
+
+
+def test_check_corpus_seed_drives_the_sampled_pairs(monkeypatch):
+    # (a a')^5 has 945 sequences, so its pairs are drawn from Random(seed)
+    word = w(" ".join(["a", "a'"] * 5))
+    pairs = record_pairs(monkeypatch)
+
+    def sweep(seed):
+        del pairs[:]
+        report = check_corpus([word], seed=seed)
+        assert report.ok
+        return list(pairs), report
+
+    draws, report = sweep(0)
+    assert len(draws) == oracle.PAIR_SAMPLES
+    assert sweep(0) == (draws, report)
+    assert sweep(1)[0] != draws
 
 
 # The oracle must be able to fail: each seeded defect below has to show
@@ -418,8 +450,9 @@ ORIGINAL_SWAP = moves.swap
 
 def test_check_pairs_reports_a_failure_inside_a_shared_prefix(monkeypatch):
     # from (0, 0, 0) the chains to the consecutive targets (4, 0, 0) and
-    # (4, 2, 0) are swap@1,swap@0 and swap@1,swap@0,swap@1; the second
-    # pair replays only past the shared prefix, which holds the broken move
+    # (4, 2, 0) are swap@1,swap@0 and swap@1,swap@0,swap@1; the broken
+    # swap@0 is never stored in the table of applied moves, so both
+    # chains meet it and report it at move 1
     graph = build_move_graph(w("a a' b b' c c'"))
     start, first, second = (0, 0, 0), (4, 0, 0), (4, 2, 0)
     assert graph.nodes.index(second) == graph.nodes.index(first) + 1
@@ -524,13 +557,13 @@ def record_pairs(monkeypatch):
     return pairs
 
 
-@pytest.mark.parametrize("text,pair_limit,seed", [
+@pytest.mark.parametrize("text,samples,seed", [
     (EXHAUSTIVE_WORD, None, 0),
-    (LARGE_WORD, 50, 0),
-    (LARGE_WORD, 50, 1),
-    (LARGE_WORD, 50, 2),
+    (LARGE_WORD, oracle.PAIR_SAMPLES, 0),
+    (LARGE_WORD, oracle.PAIR_SAMPLES, 1),
+    (LARGE_WORD, oracle.PAIR_SAMPLES, 2),
 ])
-def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, pair_limit, seed):
+def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, samples, seed):
     graph = build_move_graph(w(text))
     pairs = record_pairs(monkeypatch)
     distances = []
@@ -541,9 +574,9 @@ def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, pair_limit, s
         return distances[-1]
 
     monkeypatch.setattr(oracle, "_search", recording_search)
-    report = check_pairs(graph, pair_limit, random.Random(seed))
+    report = check_pairs(graph, random.Random(seed))
     assert report.ok
-    assert report.pair_count == len(pairs) == (pair_limit or len(graph.nodes) ** 2)
+    assert report.pair_count == len(pairs) == (samples or len(graph.nodes) ** 2)
     reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
     expected = [reference[start][target] for start, target in pairs]
     assert distances == expected
@@ -564,15 +597,19 @@ def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch)
     )
     reason = "target unreachable by single moves"
     pairs = record_pairs(monkeypatch)
-    for pair_limit, seed in [(None, 0), (5, 0), (8, 1), (8, 2)]:
+    for samples, seed in [(None, 0), (5, 0), (8, 1), (8, 2)]:
+        if samples is not None:
+            # sample pairs even from these 3 nodes
+            monkeypatch.setattr(oracle, "PAIR_THRESHOLD", 2)
+            monkeypatch.setattr(oracle, "PAIR_SAMPLES", samples)
         del pairs[:]
-        report = check_pairs(graph, pair_limit, random.Random(seed))
+        report = check_pairs(graph, random.Random(seed))
         reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
         unreachable = [(s, t, reason) for s, t in pairs if t not in reference[s]]
         assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
         assert report.max_bfs_distance == max(
             reference[s][t] for s, t in pairs if t in reference[s])
-        if pair_limit is None:
+        if samples is None:
             assert unreachable == [((1, 0), (0, 0), reason), ((2, 0), (0, 0), reason)]
 
 
@@ -594,7 +631,7 @@ def test_check_pairs_search_stops_at_the_target(monkeypatch):
     pairs = record_pairs(monkeypatch)
     graph = build_move_graph(w(LARGE_WORD))
     graph.adjacency = adjacency = CountingAdjacency(graph.adjacency, pairs)
-    assert check_pairs(graph, 50, random.Random(0)).ok
+    assert check_pairs(graph, random.Random(0)).ok
     # a full BFS expands every node of this connected graph once
     assert len(adjacency.log) < len({s for s, _ in pairs}) * len(graph.nodes)
 
