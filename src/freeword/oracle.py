@@ -14,7 +14,6 @@ the cap knowingly.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -160,26 +159,22 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     within the k(k-1)/2 length bound, and the target must also be
     reachable by single moves.  Its BFS distance, reported alongside
     the chain length for comparison, comes from one search per run of
-    pairs from one start, which each pair resumes only until its target
-    is found; pairs arrive start by start when exhaustive, so no node is
-    expanded twice for one start, and a sampled pair stops at its
-    target's layer.
+    targets from one start, which each target resumes only until it is
+    found: an exhaustive run holds every node, so no node is expanded
+    twice for one start, and a sampled run holds one drawn target, so
+    its search stops at that target's layer.
     """
     word = graph.word
     nodes = graph.nodes
     report = TransformReport(word)
     k = len(word) // 2
     bound = k * (k - 1) // 2
-    # when exhaustive, one sequence per node: building one per pair
-    # made the 180-sequence pair check measurably slower
+    sequence = {node: ReductionSequence(word, node) for node in nodes}
     if len(nodes) <= PAIR_THRESHOLD:
-        sequences = [ReductionSequence(word, node) for node in nodes]
-        pairs = itertools.product(sequences, sequences)
+        runs = [(start, nodes) for start in nodes]
     else:
         rng = rng or random.Random(0)
-        draws = ((rng.choice(nodes), rng.choice(nodes)) for _ in range(PAIR_SAMPLES))
-        pairs = ((ReductionSequence(word, a), ReductionSequence(word, b)) for a, b in draws)
-    node_set = set(nodes)
+        runs = [(rng.choice(nodes), (rng.choice(nodes),)) for _ in range(PAIR_SAMPLES)]
     # moved[steps, move] is the known node that move turns steps into.
     # apply_move is pure and the graph has one word, so a move met again,
     # from any start, is looked up; a move that raises or leaves the
@@ -189,17 +184,16 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     def fail(start, target, move_index, reason):
         report.failures.append(TransformFailure(word, start, target, move_index, reason))
 
-    for r, group in itertools.groupby(pairs, key=operator.itemgetter(0)):
-        start = r.steps
-        # one breadth-first search per start: each pair resumes it only
-        # until its target has a distance
+    for start, targets in runs:
+        r = sequence[start]
+        # one breadth-first search per run: each target resumes it only
+        # until that target has a distance
         dist = {start: 0}
         queue = deque([start])
-        for _, s in group:
-            target = s.steps
+        for target in targets:
             report.pair_count += 1
             try:
-                chain = transform_to(r, s)
+                chain = transform_to(r, sequence[target])
             except FreewordError as err:
                 # on two graph nodes it raises only through a defect
                 fail(start, target, None, str(err))
@@ -217,7 +211,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
                     except FreewordError as err:
                         fail(start, target, idx, str(err))
                         break
-                    if result.steps not in node_set:
+                    if result.steps not in sequence:
                         fail(start, target, idx, "intermediate sequence is not a known node")
                         break
                     moved[key] = result
