@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .core import Word
+from .core import Word, is_redex_at
 from .errors import (
-    FreewordError, IndexOutOfRange, InvalidArgument, NoOverlap, NotIndependent, ParseError,
+    FreewordError, IndexOutOfRange, InvalidArgument, InvalidRedex, NoOverlap, NotIndependent,
+    ParseError,
 )
-from .reduction import ReductionSequence, run_sequence
+from .reduction import POSITION_PATTERN, ReductionSequence, run_sequence
 
 SWAP = "swap"
 OVERLAP_LEFT = "ovl"
@@ -92,15 +93,20 @@ def overlap_switch(r: ReductionSequence, i: int, direction: str) -> ReductionSeq
     RIGHT moves the step from position p to p+1 (needs item p+2 equal
     to item p), LEFT from p to p-1 (needs item p-1 equal to item p+1).
     The word after the step is identical either way, so later steps are
-    unaffected; the whole trace of words stays the same.
+    unaffected; the whole trace of words stays the same.  Raises
+    InvalidRedex, with the step index, when step i is not a redex of
+    the word it acts on, as in a sequence built by hand.
     """
     steps = r.steps
     if not 0 <= i < len(steps):
         raise IndexOutOfRange(i, len(steps))
     before = run_sequence(ReductionSequence(r.word, steps[:i]))[-1]
-    target = _overlap_target(before, steps[i], direction)
+    p = steps[i]
+    if not is_redex_at(before, p):
+        raise InvalidRedex(p, before, step=i)
+    target = _overlap_target(before, p, direction)
     if target is None:
-        raise NoOverlap(i, steps[i], direction)
+        raise NoOverlap(i, p, direction)
     return ReductionSequence(r.word, steps[:i] + (target,) + steps[i + 1:])
 
 
@@ -151,13 +157,9 @@ _KINDS = (SWAP, *_DIRECTION_OF)
 
 def parse_move(text: str) -> Move:
     kind, sep, at = text.strip().partition("@")
-    try:
-        if not sep or kind not in _KINDS or not (at.isascii() and at.isdigit()):
-            raise ValueError(text)
-        return Move(kind, int(at))
-    except ValueError:
-        # int() also refuses more digits than its integer string limit
-        raise ParseError("bad move", token=text.strip()) from None
+    if not sep or kind not in _KINDS or not POSITION_PATTERN.fullmatch(at):
+        raise ParseError("bad move", token=text.strip())
+    return Move(kind, int(at))
 
 
 def parse_chain(text: str) -> MoveChain:

@@ -12,6 +12,7 @@ Sequence text format: comma or whitespace separated positions, e.g.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple
 
 from .core import Word, is_redex_at
@@ -66,17 +67,19 @@ def run_sequence(r: ReductionSequence) -> list[Word]:
     return trace
 
 
+# A step or move position in text: 1 to 18 ASCII digits, few enough
+# that int() reads them under any limit the interpreter sets on digits.
+POSITION_PATTERN = re.compile(r"[0-9]{1,18}")
+
+
 def parse_steps(text: str) -> tuple[int, ...]:
     """Parse ``3,0,0`` (or ``3 0 0``) into a position tuple.  Positions
-    are ASCII digits only, and no longer than int() converts."""
+    are 1 to 18 ASCII digits; anything else raises ParseError."""
     steps = []
     for part in text.replace(",", " ").split():
-        try:
-            if not (part.isascii() and part.isdigit()):
-                raise ValueError(part)
-            steps.append(int(part))
-        except ValueError:
-            raise ParseError("bad step position", token=part) from None
+        if not POSITION_PATTERN.fullmatch(part):
+            raise ParseError("bad step position", token=part)
+        steps.append(int(part))
     return tuple(steps)
 
 

@@ -229,9 +229,13 @@ def test_check_rejects_max_len_beyond_cap(capsys):
 @pytest.mark.parametrize("argv", [
     ("reduce", "a a'", "--steps", "\u00b2"),
     ("connect", "a a'", "0", "\u00b2"),
-    # beyond the digits int() converts: a bare ValueError, exit 1
+    # beyond the digits int() converts: a bare ValueError, exit 1; a
+    # position is now at most 18 digits, so these fail before int()
     ("reduce", "a a'", "--steps", "1" * 5000),
     ("connect", "a a'", "0", "1" * 5000),
+    # within int()'s default limit: an InvalidRedex echoing all 4,000 digits
+    ("reduce", "a a'", "--steps", "1" * 4000),
+    ("connect", "a a'", "0", "1" * 4000),
 ])
 def test_non_ascii_step_digits_are_a_parse_error(capsys, argv):
     # used to pass str.isdigit and crash in int() with a traceback, exit 1

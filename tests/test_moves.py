@@ -1,7 +1,9 @@
 import pytest
 
 from freeword.core import parse_word
-from freeword.errors import FreewordError, IndexOutOfRange, NoOverlap, NotIndependent, ParseError
+from freeword.errors import (
+    FreewordError, IndexOutOfRange, InvalidRedex, NoOverlap, NotIndependent, ParseError,
+)
 from freeword.moves import (
     LEFT,
     OVERLAP_LEFT,
@@ -19,7 +21,7 @@ from freeword.moves import (
     swap,
 )
 from freeword.oracle import enumerate_sequences
-from freeword.reduction import run_sequence, validate_sequence
+from freeword.reduction import ReductionSequence, run_sequence, validate_sequence
 
 
 def w(text):
@@ -102,6 +104,19 @@ def test_overlap_switch_rejects_bad_direction():
 def test_overlap_switch_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         overlap_switch(seq("a a'", (0,)), 1, LEFT)
+
+
+@pytest.mark.parametrize("steps,direction,position", [
+    ((1,), LEFT, 1),    # used to raise a bare IndexError
+    ((-1,), RIGHT, -1),  # used to return steps (0,) without complaint
+])
+def test_overlap_switch_rejects_a_step_that_is_not_a_redex(steps, direction, position):
+    r = ReductionSequence(w("a a'"), steps)  # built by hand, never validated
+    kind = OVERLAP_LEFT if direction == LEFT else OVERLAP_RIGHT
+    for switch in (lambda: overlap_switch(r, 0, direction), lambda: apply_move(r, Move(kind, 0))):
+        with pytest.raises(InvalidRedex) as err:
+            switch()
+        assert (err.value.position, err.value.step) == (position, 0)
 
 
 def test_overlap_at_a_later_step():
@@ -200,11 +215,14 @@ def test_parse_move():
     assert parse_move("swap@3") == Move(SWAP, 3)
     assert parse_move("ovl@0") == Move(OVERLAP_LEFT, 0)
     assert parse_move("ovr@12") == Move(OVERLAP_RIGHT, 12)
+    assert parse_move("swap@" + "9" * 18) == Move(SWAP, 10 ** 18 - 1)
 
 
 def test_parse_move_rejects_garbage():
     for bad in ["swap", "swap@", "@3", "spin@1", "swap@-1", "swap@x",
-                "swap@\u00b2", "ovl@\u0661", "ovr@\uff11", "swap@" + "9" * 5000]:
+                "swap@\u00b2", "ovl@\u0661", "ovr@\uff11", "swap@" + "9" * 5000,
+                # more than 18 digits; 4,000 are within int()'s default limit
+                "swap@" + "1" * 19, "swap@" + "9" * 4000]:
         with pytest.raises(ParseError):
             parse_move(bad)
 

@@ -156,6 +156,7 @@ def test_parse_steps_formats():
     assert parse_steps("3,0,0") == (3, 0, 0)
     assert parse_steps("3 0 0") == (3, 0, 0)
     assert parse_steps("") == ()
+    assert parse_steps("0," + "9" * 18) == (0, 10 ** 18 - 1)
 
 
 def test_parse_steps_rejects_garbage():
@@ -164,8 +165,9 @@ def test_parse_steps_rejects_garbage():
     with pytest.raises(ParseError):
         parse_steps("-1")
     # str.isdigit accepts these, but int() fails on the superscript and
-    # would quietly read the Arabic-Indic digit as 1
-    for bad in ["\u00b2", "0,\u00b2", "\u0661", "\uff11"]:
+    # would quietly read the Arabic-Indic digit as 1; a position also
+    # has at most 18 digits
+    for bad in ["\u00b2", "0,\u00b2", "\u0661", "\uff11", "1" * 19, "0," + "1" * 4000]:
         with pytest.raises(ParseError):
             parse_steps(bad)
 
