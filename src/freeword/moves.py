@@ -95,15 +95,19 @@ def overlap_switch(r: ReductionSequence, i: int, direction: str) -> ReductionSeq
     The word after the step is identical either way, so later steps are
     unaffected; the whole trace of words stays the same.  Raises
     InvalidRedex, with the step index, when step i is not a redex of
-    the word it acts on, as in a sequence built by hand.
+    the word it acts on, as in a sequence built by hand; so does an
+    earlier step, with its own index.
     """
     steps = r.steps
     if not 0 <= i < len(steps):
         raise IndexOutOfRange(i, len(steps))
-    before = run_sequence(ReductionSequence(r.word, steps[:i]))[-1]
+    before = r.word
+    for k, p in enumerate(steps[:i + 1]):
+        if not is_redex_at(before, p):
+            raise InvalidRedex(p, before, step=k)
+        if k < i:
+            before = before[:p] + before[p + 2:]
     p = steps[i]
-    if not is_redex_at(before, p):
-        raise InvalidRedex(p, before, step=i)
     target = _overlap_target(before, p, direction)
     if target is None:
         raise NoOverlap(i, p, direction)

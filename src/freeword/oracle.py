@@ -109,22 +109,68 @@ def check_connected(graph: MoveGraph) -> bool:
 
 
 def _search(
-    graph: MoveGraph, dist: dict[Steps, int], queue: deque, target: Steps | None
+    graph: MoveGraph,
+    dist: dict[Steps, int],
+    queue: deque,
+    target: Steps | None,
+    predecessors: dict[Steps, list[Steps]] | None = None,
 ) -> int | None:
     """Resume the breadth-first search held in dist and queue until
     target has a distance or the queue is empty; return that distance,
     or None if target is unreachable.  A node's distance is fixed when
     it is first found, so every distance in dist is exact; target None
-    drains the search.  Nodes outside the graph have no edges."""
+    drains the search.  Nodes outside the graph have no edges.
+
+    With predecessors, which maps each node to every node with an edge
+    into it, dist and queue must hold only the start, and the search
+    meets in the middle instead: it also searches backward from target
+    and always grows the smaller frontier by one whole layer.  At the
+    end of the first layer that finds nodes the other side has seen, it
+    returns the least sum of their two distances; once either frontier
+    is empty, None.
+    """
     adjacency = graph.adjacency
-    while queue and target not in dist:
-        node = queue.popleft()
-        step = dist[node] + 1
-        for _, other in adjacency.get(node, ()):
-            if other not in dist:
-                dist[other] = step
-                queue.append(other)
-    return dist.get(target)
+    if predecessors is None:
+        while queue and target not in dist:
+            node = queue.popleft()
+            step = dist[node] + 1
+            for _, other in adjacency.get(node, ()):
+                if other not in dist:
+                    dist[other] = step
+                    queue.append(other)
+        return dist.get(target)
+    if target in dist:
+        return 0
+    back = {target: 0}
+    forward, backward = list(queue), [target]
+    forward_step = backward_step = 0
+    while forward and backward:
+        meetings = []
+        if len(forward) <= len(backward):
+            forward_step += 1
+            layer = []
+            for node in forward:
+                for _, other in adjacency.get(node, ()):
+                    if other not in dist:
+                        dist[other] = forward_step
+                        layer.append(other)
+                        if other in back:
+                            meetings.append(forward_step + back[other])
+            forward = layer
+        else:
+            backward_step += 1
+            layer = []
+            for node in backward:
+                for other in predecessors.get(node, ()):
+                    if other not in back:
+                        back[other] = backward_step
+                        layer.append(other)
+                        if other in dist:
+                            meetings.append(backward_step + dist[other])
+            backward = layer
+        if meetings:
+            return min(meetings)
+    return None
 
 
 @dataclass
@@ -159,10 +205,12 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     within the k(k-1)/2 length bound, and the target must also be
     reachable by single moves.  Its BFS distance, reported alongside
     the chain length for comparison, comes from one search per run of
-    targets from one start, which each target resumes only until it is
-    found: an exhaustive run holds every node, so no node is expanded
-    twice for one start, and a sampled run holds one drawn target, so
-    its search stops at that target's layer.
+    targets from one start.  An exhaustive run holds every node, and
+    each target resumes its search only until it is found, so no node
+    is expanded twice for one start.  A sampled run holds one drawn
+    target, and its search meets in the middle: it also runs backward
+    from the target over a map of predecessors, built once per call
+    from the adjacency, so the two sides stop about halfway.
     """
     word = graph.word
     nodes = graph.nodes
@@ -170,11 +218,18 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     k = len(word) // 2
     bound = k * (k - 1) // 2
     sequence = {node: ReductionSequence(word, node) for node in nodes}
+    predecessors = None
     if len(nodes) <= PAIR_THRESHOLD:
         runs = [(start, nodes) for start in nodes]
     else:
         rng = rng or random.Random(0)
         runs = [(rng.choice(nodes), (rng.choice(nodes),)) for _ in range(PAIR_SAMPLES)]
+        # from the adjacency itself, since a faulty move can make an
+        # edge one-way or lead it out of the node set
+        predecessors = {}
+        for node, edges in graph.adjacency.items():
+            for _, other in edges:
+                predecessors.setdefault(other, []).append(node)
     # moved[steps, move] is the known node that move turns steps into.
     # apply_move is pure and the graph has one word, so a move met again,
     # from any start, is looked up; a move that raises or leaves the
@@ -219,7 +274,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
             else:
                 if current.steps != target:
                     fail(start, target, None, "chain does not replay to the target")
-            distance = _search(graph, dist, queue, target)
+            distance = _search(graph, dist, queue, target, predecessors)
             if distance is None:
                 fail(start, target, None, "target unreachable by single moves")
             else:

@@ -119,6 +119,17 @@ def test_overlap_switch_rejects_a_step_that_is_not_a_redex(steps, direction, pos
         assert (err.value.position, err.value.step) == (position, 0)
 
 
+def test_overlap_switch_names_a_bad_step_before_the_switched_one():
+    # step 0 is no redex: replaying the prefix used to raise without its index
+    r = ReductionSequence(w("a a' a a'"), (5, 0))  # built by hand, never validated
+    for switch in (lambda: overlap_switch(r, 1, RIGHT),
+                   lambda: apply_move(r, Move(OVERLAP_RIGHT, 1))):
+        with pytest.raises(InvalidRedex) as err:
+            switch()
+        assert (err.value.position, err.value.step) == (5, 0)
+        assert str(err.value) == "no redex at position 5 at step 0"
+
+
 def test_overlap_at_a_later_step():
     # the overlapping configuration appears only after the first step
     r = seq("b b' a a' a a'", (0, 0, 0))

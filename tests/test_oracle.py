@@ -626,6 +626,56 @@ def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch)
             assert unreachable == [((1, 0), (0, 0), reason), ((2, 0), (0, 0), reason)]
 
 
+def damaged_graph(graph, rng):
+    # drop edges at random, so that some become one-way, and add edges
+    # to nodes outside the node set, some of which lead back in; only
+    # faulty moves make such graphs
+    drop = rng.choice([0.1, 0.3, 0.6])
+    adjacency = {}
+    for node, edges in graph.adjacency.items():
+        kept = [edge for edge in edges if rng.random() >= drop]
+        if rng.random() < 0.2:
+            stray = node + (len(node),)  # one step too many: never a node
+            kept.insert(rng.randrange(len(kept) + 1), (Move(SWAP, 0), stray))
+            if rng.random() < 0.5:
+                adjacency[stray] = ((Move(SWAP, 0), rng.choice(graph.nodes)),)
+        adjacency[node] = tuple(kept)
+    return MoveGraph(graph.word, graph.nodes, adjacency)
+
+
+@pytest.mark.parametrize("text", ["a a' a a' a a'", "a a' b b' a a' b b'", EXHAUSTIVE_WORD,
+                                  SWEEP_WORD])
+def test_sampled_distances_on_damaged_graphs_match_a_full_bfs(monkeypatch, text):
+    # every sampled pair's distance, or its unreachable target, is what
+    # a full one-sided search finds, however one-way the graph is
+    monkeypatch.setattr(oracle, "PAIR_THRESHOLD", 2)
+    pairs = record_pairs(monkeypatch)
+    distances = []
+    search = oracle._search
+
+    def recording_search(*args):
+        distances.append(search(*args))
+        return distances[-1]
+
+    monkeypatch.setattr(oracle, "_search", recording_search)
+    reason = "target unreachable by single moves"
+    graph = build_move_graph(w(text))
+    seen = set()
+    for seed in range(8):
+        damaged = damaged_graph(graph, random.Random(seed))
+        del pairs[:], distances[:]
+        report = check_pairs(damaged, random.Random(seed))
+        assert len(pairs) == len(distances) == report.pair_count == oracle.PAIR_SAMPLES
+        reference = {start: full_bfs(damaged, start) for start in {s for s, _ in pairs}}
+        assert distances == [reference[s].get(t) for s, t in pairs]
+        unreachable = [(s, t, reason) for s, t in pairs if t not in reference[s]]
+        assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
+        assert report.max_bfs_distance == max([d for d in distances if d is not None], default=0)
+        seen.update("same" if s == t else "unreachable" if t not in reference[s] else "reachable"
+                    for s, t in pairs)
+    assert seen == {"same", "unreachable", "reachable"}
+
+
 class CountingAdjacency(dict):
     """Adjacency that logs every node the search expands, together with
     the start of the pair being checked."""
@@ -654,3 +704,32 @@ def test_check_pairs_search_stops_at_the_target(monkeypatch):
     assert check_pairs(graph).ok
     # exhaustive pairs come start by start: no node is expanded twice for one start
     assert len(set(adjacency.log)) == len(adjacency.log)
+
+
+def test_check_pairs_sampled_searches_meet_in_the_middle(monkeypatch):
+    # both sides of the sampled searches together expand under 40 % of
+    # the nodes that one-sided searches stopping at the same targets
+    # expand (35 %: 15,833 against 45,418)
+    pairs = record_pairs(monkeypatch)
+    graph = build_move_graph(w(LARGE_WORD))
+    plain = graph.adjacency
+    graph.adjacency = adjacency = CountingAdjacency(plain, pairs)
+    backward = []
+    search = oracle._search
+
+    def counting_search(graph, dist, queue, target, predecessors):
+        predecessors = CountingAdjacency(predecessors, pairs)
+        backward.append(predecessors.log)
+        return search(graph, dist, queue, target, predecessors)
+
+    monkeypatch.setattr(oracle, "_search", counting_search)
+    assert check_pairs(graph, random.Random(0)).ok
+    assert len(pairs) == len(backward) == oracle.PAIR_SAMPLES
+    both_sides = len(adjacency.log) + sum(map(len, backward))
+
+    one_sided = 0
+    for start, target in pairs:
+        counted = CountingAdjacency(plain, [(start, target)])
+        search(MoveGraph(graph.word, graph.nodes, counted), {start: 0}, deque([start]), target)
+        one_sided += len(counted.log)
+    assert both_sides < 0.4 * one_sided
