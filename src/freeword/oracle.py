@@ -6,16 +6,16 @@ of the package promises: the graph is connected, transform_to produces
 chains that really replay, and a word is fully reducible exactly when
 its normal form is empty.
 
-Everything here is exhaustive on purpose and guarded by a length cap
+Enumeration is exhaustive on purpose and guarded by a length cap
 (default 12): sequence counts grow quickly with word length, so raise
-the cap knowingly.
+the cap knowingly.  Pairs are checked exhaustively up to PAIR_THRESHOLD
+nodes; a larger graph has PAIR_SAMPLES pairs drawn at random.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core import SignedGenerator, Word, find_redexes, invert, render_word, signed
@@ -102,74 +102,56 @@ def check_connected(graph: MoveGraph) -> bool:
     node set, which only a faulty move can produce, also makes it false."""
     if not graph.nodes:
         return True
-    start = graph.nodes[0]
+    successors = {node: [other for _, other in edges] for node, edges in graph.adjacency.items()}
+    return _distances(successors, graph.nodes[0]).keys() == set(graph.nodes)
+
+
+def _distances(successors: dict[Steps, list[Steps]], start: Steps) -> dict[Steps, int]:
+    """Breadth-first distance from start to every node it reaches.
+    Nodes without an entry in successors have no edges."""
     dist = {start: 0}
-    _search(graph, dist, deque([start]), None)
-    return dist.keys() == set(graph.nodes)
+    order = [start]
+    for node in order:  # grows as nodes are found, so a queue
+        step = dist[node] + 1
+        for other in successors.get(node, ()):
+            if other not in dist:
+                dist[other] = step
+                order.append(other)
+    return dist
 
 
-def _search(
-    graph: MoveGraph,
-    dist: dict[Steps, int],
-    queue: deque,
-    target: Steps | None,
-    predecessors: dict[Steps, list[Steps]] | None = None,
+def _distance(
+    successors: dict[Steps, list[Steps]],
+    predecessors: dict[Steps, list[Steps]],
+    start: Steps,
+    target: Steps,
 ) -> int | None:
-    """Resume the breadth-first search held in dist and queue until
-    target has a distance or the queue is empty; return that distance,
-    or None if target is unreachable.  A node's distance is fixed when
-    it is first found, so every distance in dist is exact; target None
-    drains the search.  Nodes outside the graph have no edges.
-
-    With predecessors, which maps each node to every node with an edge
-    into it, dist and queue must hold only the start, and the search
-    meets in the middle instead: it also searches backward from target
-    and always grows the smaller frontier by one whole layer.  At the
-    end of the first layer that finds nodes the other side has seen, it
-    returns the least sum of their two distances; once either frontier
-    is empty, None.
-    """
-    adjacency = graph.adjacency
-    if predecessors is None:
-        while queue and target not in dist:
-            node = queue.popleft()
-            step = dist[node] + 1
-            for _, other in adjacency.get(node, ()):
-                if other not in dist:
-                    dist[other] = step
-                    queue.append(other)
-        return dist.get(target)
-    if target in dist:
+    """Breadth-first distance from start to target, or None if target is
+    unreachable, by a search that meets in the middle: forward from
+    start over successors and backward from target over predecessors.
+    It always grows the smaller frontier by one whole layer and returns
+    at the first node the other side has seen.  Before that layer no
+    node was on both sides, so no path is shorter.  Nodes without an
+    entry in a map have no edges in that direction."""
+    if start == target:
         return 0
-    back = {target: 0}
-    forward, backward = list(queue), [target]
-    forward_step = backward_step = 0
-    while forward and backward:
-        meetings = []
-        if len(forward) <= len(backward):
-            forward_step += 1
-            layer = []
-            for node in forward:
-                for _, other in adjacency.get(node, ()):
-                    if other not in dist:
-                        dist[other] = forward_step
-                        layer.append(other)
-                        if other in back:
-                            meetings.append(forward_step + back[other])
-            forward = layer
-        else:
-            backward_step += 1
-            layer = []
-            for node in backward:
-                for other in predecessors.get(node, ()):
-                    if other not in back:
-                        back[other] = backward_step
-                        layer.append(other)
-                        if other in dist:
-                            meetings.append(backward_step + dist[other])
-            backward = layer
-        if meetings:
-            return min(meetings)
+    side = ([start], {start: 0}, successors)
+    other_side = ([target], {target: 0}, predecessors)
+    while side[0] and other_side[0]:
+        if len(side[0]) > len(other_side[0]):
+            side, other_side = other_side, side
+        frontier, seen, neighbours = side
+        met = other_side[1]
+        layer = []
+        for node in frontier:
+            step = seen[node] + 1
+            for other in neighbours.get(node, ()):
+                if other not in seen:
+                    if other in met:
+                        return step + met[other]
+                    seen[other] = step
+                    layer.append(other)
+        side = (layer, seen, neighbours)
     return None
 
 
@@ -203,14 +185,11 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     rng (default Random(0)).  A transform_to that raises is a failure too.
     Each pair must replay from start to target through known nodes
     within the k(k-1)/2 length bound, and the target must also be
-    reachable by single moves.  Its BFS distance, reported alongside
-    the chain length for comparison, comes from one search per run of
-    targets from one start.  An exhaustive run holds every node, and
-    each target resumes its search only until it is found, so no node
-    is expanded twice for one start.  A sampled run holds one drawn
-    target, and its search meets in the middle: it also runs backward
-    from the target over a map of predecessors, built once per call
-    from the adjacency, so the two sides stop about halfway.
+    reachable by single moves.  Its BFS distance is reported alongside
+    the chain length for comparison.  Exhaustive pairs read it from one
+    breadth-first search per start, which expands each node once.  A
+    sampled pair gets it from a search that meets in the middle,
+    forward from the start and backward from the target.
     """
     word = graph.word
     nodes = graph.nodes
@@ -218,6 +197,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     k = len(word) // 2
     bound = k * (k - 1) // 2
     sequence = {node: ReductionSequence(word, node) for node in nodes}
+    successors = {node: [other for _, other in edges] for node, edges in graph.adjacency.items()}
     predecessors = None
     if len(nodes) <= PAIR_THRESHOLD:
         runs = [(start, nodes) for start in nodes]
@@ -227,8 +207,8 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
         # from the adjacency itself, since a faulty move can make an
         # edge one-way or lead it out of the node set
         predecessors = {}
-        for node, edges in graph.adjacency.items():
-            for _, other in edges:
+        for node, others in successors.items():
+            for other in others:
                 predecessors.setdefault(other, []).append(node)
     # moved[steps, move] is the known node that move turns steps into.
     # apply_move is pure and the graph has one word, so a move met again,
@@ -241,10 +221,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
 
     for start, targets in runs:
         r = sequence[start]
-        # one breadth-first search per run: each target resumes it only
-        # until that target has a distance
-        dist = {start: 0}
-        queue = deque([start])
+        dist = _distances(successors, start) if predecessors is None else None
         for target in targets:
             report.pair_count += 1
             try:
@@ -274,7 +251,10 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
             else:
                 if current.steps != target:
                     fail(start, target, None, "chain does not replay to the target")
-            distance = _search(graph, dist, queue, target, predecessors)
+            if dist is None:
+                distance = _distance(successors, predecessors, start, target)
+            else:
+                distance = dist.get(target)
             if distance is None:
                 fail(start, target, None, "target unreachable by single moves")
             else:

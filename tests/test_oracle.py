@@ -570,6 +570,26 @@ def record_pairs(monkeypatch):
     return pairs
 
 
+def record_searches(monkeypatch):
+    # every search the pair check runs, in order, with its result:
+    # (start, distances) for a start's BFS, (start, target, distance)
+    # for a sampled pair
+    searches = []
+    distances, distance = oracle._distances, oracle._distance
+
+    def recording_distances(successors, start):
+        searches.append((start, distances(successors, start)))
+        return searches[-1][-1]
+
+    def recording_distance(successors, predecessors, start, target):
+        searches.append((start, target, distance(successors, predecessors, start, target)))
+        return searches[-1][-1]
+
+    monkeypatch.setattr(oracle, "_distances", recording_distances)
+    monkeypatch.setattr(oracle, "_distance", recording_distance)
+    return searches
+
+
 @pytest.mark.parametrize("text,samples,seed", [
     (EXHAUSTIVE_WORD, None, 0),
     (LARGE_WORD, oracle.PAIR_SAMPLES, 0),
@@ -579,21 +599,18 @@ def record_pairs(monkeypatch):
 def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, samples, seed):
     graph = build_move_graph(w(text))
     pairs = record_pairs(monkeypatch)
-    distances = []
-    search = oracle._search
-
-    def recording_search(*args):
-        distances.append(search(*args))
-        return distances[-1]
-
-    monkeypatch.setattr(oracle, "_search", recording_search)
+    searches = record_searches(monkeypatch)
     report = check_pairs(graph, random.Random(seed))
     assert report.ok
     assert report.pair_count == len(pairs) == (samples or len(graph.nodes) ** 2)
     reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
-    expected = [reference[start][target] for start, target in pairs]
-    assert distances == expected
-    assert report.max_bfs_distance == max(expected)
+    if samples is None:
+        # every pair reads its distance from its start's one search
+        assert [s for s, _ in pairs] == [s for s in graph.nodes for _ in graph.nodes]
+        assert searches == [(start, reference[start]) for start in graph.nodes]
+    else:
+        assert searches == [(s, t, reference[s][t]) for s, t in pairs]
+    assert report.max_bfs_distance == max(reference[s][t] for s, t in pairs)
 
 
 def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch):
@@ -646,90 +663,111 @@ def damaged_graph(graph, rng):
 @pytest.mark.parametrize("text", ["a a' a a' a a'", "a a' b b' a a' b b'", EXHAUSTIVE_WORD,
                                   SWEEP_WORD])
 def test_sampled_distances_on_damaged_graphs_match_a_full_bfs(monkeypatch, text):
-    # every sampled pair's distance, or its unreachable target, is what
-    # a full one-sided search finds, however one-way the graph is
-    monkeypatch.setattr(oracle, "PAIR_THRESHOLD", 2)
+    # every pair's distance, or its unreachable target, is what a full
+    # one-sided search finds, however one-way the graph is: first with
+    # every pair sampled, then with PAIR_THRESHOLD at its default, under
+    # which every pair of these words is checked
     pairs = record_pairs(monkeypatch)
-    distances = []
-    search = oracle._search
-
-    def recording_search(*args):
-        distances.append(search(*args))
-        return distances[-1]
-
-    monkeypatch.setattr(oracle, "_search", recording_search)
+    searches = record_searches(monkeypatch)
     reason = "target unreachable by single moves"
     graph = build_move_graph(w(text))
-    seen = set()
-    for seed in range(8):
-        damaged = damaged_graph(graph, random.Random(seed))
-        del pairs[:], distances[:]
-        report = check_pairs(damaged, random.Random(seed))
-        assert len(pairs) == len(distances) == report.pair_count == oracle.PAIR_SAMPLES
-        reference = {start: full_bfs(damaged, start) for start in {s for s, _ in pairs}}
-        assert distances == [reference[s].get(t) for s, t in pairs]
-        unreachable = [(s, t, reason) for s, t in pairs if t not in reference[s]]
-        assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
-        assert report.max_bfs_distance == max([d for d in distances if d is not None], default=0)
-        seen.update("same" if s == t else "unreachable" if t not in reference[s] else "reachable"
-                    for s, t in pairs)
-    assert seen == {"same", "unreachable", "reachable"}
+    for threshold in [2, oracle.PAIR_THRESHOLD]:
+        monkeypatch.setattr(oracle, "PAIR_THRESHOLD", threshold)
+        seen = set()
+        for seed in range(8):
+            damaged = damaged_graph(graph, random.Random(seed))
+            del pairs[:], searches[:]
+            report = check_pairs(damaged, random.Random(seed))
+            reference = {start: full_bfs(damaged, start) for start in {s for s, _ in pairs}}
+            if threshold == 2:
+                assert len(pairs) == report.pair_count == oracle.PAIR_SAMPLES
+                assert searches == [(s, t, reference[s].get(t)) for s, t in pairs]
+            else:
+                assert len(pairs) == report.pair_count == len(graph.nodes) ** 2
+                assert searches == [(start, reference[start]) for start in graph.nodes]
+            unreachable = [(s, t, reason) for s, t in pairs if t not in reference[s]]
+            assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
+            assert report.max_bfs_distance == max(
+                [reference[s][t] for s, t in pairs if t in reference[s]], default=0)
+            seen.update("same" if s == t else "unreachable" if t not in reference[s]
+                        else "reachable" for s, t in pairs)
+        assert seen == {"same", "unreachable", "reachable"}
 
 
-class CountingAdjacency(dict):
-    """Adjacency that logs every node the search expands, together with
-    the start of the pair being checked."""
+class CountingMap(dict):
+    """A neighbour map that logs every node a search expands, together
+    with the start of that search."""
 
-    def __init__(self, adjacency, pairs):
-        super().__init__(adjacency)
-        self.pairs = pairs
-        self.log = []
+    def __init__(self, neighbours, start, log):
+        super().__init__(neighbours)
+        self.start = start
+        self.log = log
 
     def get(self, node, default=None):
-        self.log.append((self.pairs[-1][0], node))
+        self.log.append((self.start, node))
         return super().get(node, default)
+
+
+def count_expansions(monkeypatch):
+    # the (start, node) of every node that the pair check's searches
+    # expand, forward over successors and backward over predecessors
+    forward, backward = [], []
+    distances, distance = oracle._distances, oracle._distance
+
+    def counting_distances(successors, start):
+        return distances(CountingMap(successors, start, forward), start)
+
+    def counting_distance(successors, predecessors, start, target):
+        return distance(CountingMap(successors, start, forward),
+                        CountingMap(predecessors, start, backward), start, target)
+
+    monkeypatch.setattr(oracle, "_distances", counting_distances)
+    monkeypatch.setattr(oracle, "_distance", counting_distance)
+    return forward, backward
+
+
+def expanded_until(graph, start, target):
+    # how many nodes a one-sided breadth-first search expands before it
+    # finds target
+    dist = {start: 0}
+    queue = deque([start])
+    while queue and target not in dist:
+        node = queue.popleft()
+        for _, other in graph.adjacency[node]:
+            if other not in dist:
+                dist[other] = dist[node] + 1
+                queue.append(other)
+    return len(dist) - len(queue)
 
 
 def test_check_pairs_search_stops_at_the_target(monkeypatch):
     pairs = record_pairs(monkeypatch)
+    forward, backward = count_expansions(monkeypatch)
     graph = build_move_graph(w(LARGE_WORD))
-    graph.adjacency = adjacency = CountingAdjacency(graph.adjacency, pairs)
     assert check_pairs(graph, random.Random(0)).ok
+    assert forward and backward
     # a full BFS expands every node of this connected graph once
-    assert len(adjacency.log) < len({s for s, _ in pairs}) * len(graph.nodes)
+    assert len(forward) + len(backward) < len({s for s, _ in pairs}) * len(graph.nodes)
 
-    del pairs[:]
+    del forward[:], backward[:]
     graph = build_move_graph(w(EXHAUSTIVE_WORD))
-    graph.adjacency = adjacency = CountingAdjacency(graph.adjacency, pairs)
     assert check_pairs(graph).ok
-    # exhaustive pairs come start by start: no node is expanded twice for one start
-    assert len(set(adjacency.log)) == len(adjacency.log)
+    # one search per start, which expands each node of this connected
+    # graph once, and no search backward
+    assert not backward
+    assert len(set(forward)) == len(forward) == len(graph.nodes) ** 2
 
 
 def test_check_pairs_sampled_searches_meet_in_the_middle(monkeypatch):
-    # both sides of the sampled searches together expand under 40 % of
+    # both sides of the sampled searches together expand under 30 % of
     # the nodes that one-sided searches stopping at the same targets
-    # expand (35 %: 15,833 against 45,418)
+    # expand (27.6 %: 12,524 against 45,418)
     pairs = record_pairs(monkeypatch)
+    forward, backward = count_expansions(monkeypatch)
+    searches = record_searches(monkeypatch)
     graph = build_move_graph(w(LARGE_WORD))
-    plain = graph.adjacency
-    graph.adjacency = adjacency = CountingAdjacency(plain, pairs)
-    backward = []
-    search = oracle._search
-
-    def counting_search(graph, dist, queue, target, predecessors):
-        predecessors = CountingAdjacency(predecessors, pairs)
-        backward.append(predecessors.log)
-        return search(graph, dist, queue, target, predecessors)
-
-    monkeypatch.setattr(oracle, "_search", counting_search)
     assert check_pairs(graph, random.Random(0)).ok
-    assert len(pairs) == len(backward) == oracle.PAIR_SAMPLES
-    both_sides = len(adjacency.log) + sum(map(len, backward))
-
-    one_sided = 0
-    for start, target in pairs:
-        counted = CountingAdjacency(plain, [(start, target)])
-        search(MoveGraph(graph.word, graph.nodes, counted), {start: 0}, deque([start]), target)
-        one_sided += len(counted.log)
-    assert both_sides < 0.4 * one_sided
+    assert len(pairs) == len(searches) == oracle.PAIR_SAMPLES
+    assert forward and backward
+    one_sided = sum(expanded_until(graph, start, target) for start, target in pairs)
+    assert len(forward) + len(backward) < 0.3 * one_sided
