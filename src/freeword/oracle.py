@@ -67,14 +67,16 @@ class MoveGraph:
     """All reduction sequences of one word, joined by single moves.
 
     nodes are the step tuples in enumeration order; adjacency maps each
-    node to every applicable (move, resulting node) pair.  Every edge
-    comes with its reverse: swaps are self-inverse and the two overlap
-    directions undo each other.
+    node to {neighbour: the move reaching it}, in applicable_moves
+    order.  No two moves from a node reach one neighbour, so no edge is
+    dropped, and a search iterates an entry as the node's neighbours.
+    Every edge comes with its reverse: swaps are self-inverse and the
+    two overlap directions undo each other.
     """
 
     word: Word
     nodes: tuple[Steps, ...]
-    adjacency: dict[Steps, tuple[tuple[Move, Steps], ...]]
+    adjacency: dict[Steps, dict[Steps, Move]]
 
     def edges(self) -> list[tuple[Steps, Steps, Move]]:
         """Canonical undirected edge list: one entry per unordered pair,
@@ -82,7 +84,7 @@ class MoveGraph:
         return [
             (src, dst, move)
             for src in self.nodes
-            for move, dst in self.adjacency[src]
+            for dst, move in self.adjacency[src].items()
             if src < dst
         ]
 
@@ -90,24 +92,24 @@ class MoveGraph:
 def build_move_graph(w: Word, cap: int = DEFAULT_CAP) -> MoveGraph:
     sequences = enumerate_sequences(w, cap)
     adjacency = {
-        seq.steps: tuple((move, result.steps) for move, result in applicable_moves(seq))
+        seq.steps: {result.steps: move for move, result in applicable_moves(seq)}
         for seq in sequences
     }
     return MoveGraph(w, tuple(seq.steps for seq in sequences), adjacency)
 
 
 def check_connected(graph: MoveGraph) -> bool:
-    """BFS from the first node; true iff at most one component (so
-    vacuously true for irreducible words).  An edge leading out of the
-    node set, which only a faulty move can produce, also makes it false."""
+    """BFS over graph.adjacency from the first node; true iff at most
+    one component (so vacuously true for irreducible words).  An edge
+    leaving the node set, which only a faulty move makes, is false too."""
     if not graph.nodes:
         return True
-    successors = {node: [other for _, other in edges] for node, edges in graph.adjacency.items()}
-    return _distances(successors, graph.nodes[0]).keys() == set(graph.nodes)
+    return _distances(graph.adjacency, graph.nodes[0]).keys() == set(graph.nodes)
 
 
-def _distances(successors: dict[Steps, list[Steps]], start: Steps) -> dict[Steps, int]:
-    """Breadth-first distance from start to every node it reaches.
+def _distances(successors: dict[Steps, dict[Steps, Move]], start: Steps) -> dict[Steps, int]:
+    """Breadth-first distance from start to every node it reaches, over
+    a MoveGraph's adjacency, whose entries iterate as neighbours.
     Nodes without an entry in successors have no edges."""
     dist = {start: 0}
     order = [start]
@@ -121,18 +123,19 @@ def _distances(successors: dict[Steps, list[Steps]], start: Steps) -> dict[Steps
 
 
 def _distance(
-    successors: dict[Steps, list[Steps]],
+    successors: dict[Steps, dict[Steps, Move]],
     predecessors: dict[Steps, list[Steps]],
     start: Steps,
     target: Steps,
 ) -> int | None:
     """Breadth-first distance from start to target, or None if target is
     unreachable, by a search that meets in the middle: forward from
-    start over successors and backward from target over predecessors.
-    It always grows the smaller frontier by one whole layer and returns
-    at the first node the other side has seen.  Before that layer no
-    node was on both sides, so no path is shorter.  Nodes without an
-    entry in a map have no edges in that direction."""
+    start over successors, a MoveGraph's adjacency, and backward from
+    target over predecessors, whose entries are bare lists.  It always
+    grows the smaller frontier by one whole layer and returns at the
+    first node the other side has seen.  Before that layer no node was
+    on both sides, so no path is shorter.  Nodes without an entry in a
+    map have no edges in that direction."""
     if start == target:
         return 0
     side = ([start], {start: 0}, successors)
@@ -197,7 +200,6 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     k = len(word) // 2
     bound = k * (k - 1) // 2
     sequence = {node: ReductionSequence(word, node) for node in nodes}
-    successors = {node: [other for _, other in edges] for node, edges in graph.adjacency.items()}
     predecessors = None
     if len(nodes) <= PAIR_THRESHOLD:
         runs = [(start, nodes) for start in nodes]
@@ -207,7 +209,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
         # from the adjacency itself, since a faulty move can make an
         # edge one-way or lead it out of the node set
         predecessors = {}
-        for node, others in successors.items():
+        for node, others in graph.adjacency.items():
             for other in others:
                 predecessors.setdefault(other, []).append(node)
     # moved[steps, move] is the known node that move turns steps into.
@@ -221,7 +223,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
 
     for start, targets in runs:
         r = sequence[start]
-        dist = _distances(successors, start) if predecessors is None else None
+        dist = _distances(graph.adjacency, start) if predecessors is None else None
         for target in targets:
             report.pair_count += 1
             try:
@@ -252,7 +254,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
                 if current.steps != target:
                     fail(start, target, None, "chain does not replay to the target")
             if dist is None:
-                distance = _distance(successors, predecessors, start, target)
+                distance = _distance(graph.adjacency, predecessors, start, target)
             else:
                 distance = dist.get(target)
             if distance is None:

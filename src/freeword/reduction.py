@@ -41,29 +41,29 @@ def apply_step(w: Word, p: int) -> Word:
 
 def validate_sequence(w: Word, positions: Iterable[int]) -> ReductionSequence:
     """Check that the positions reduce w all the way to the empty word.
-
-    Raises InvalidRedex (carrying the failing step index and the pair
-    found there) or IncompleteReduction (carrying the leftover word).
-    """
-    steps = tuple(positions)
-    current = w
-    for k, p in enumerate(steps):
-        if not is_redex_at(current, p):
-            raise InvalidRedex(p, current, step=k)
-        current = current[:p] + current[p + 2:]
-    if current:
-        raise IncompleteReduction(current)
-    return ReductionSequence(w, steps)
+    Raises InvalidRedex as run_sequence does, or IncompleteReduction
+    carrying the leftover word."""
+    r = ReductionSequence(w, tuple(positions))
+    leftover = run_sequence(r)[-1]
+    if leftover:
+        raise IncompleteReduction(leftover)
+    return r
 
 
 def run_sequence(r: ReductionSequence) -> list[Word]:
-    """The trace of intermediate words, from r.word down to ().
+    """The trace of intermediate words, from r.word down to the word
+    left when the steps run out: () for a complete reduction.
 
     len(result) == len(r.steps) + 1 and consecutive words shrink by 2.
+    Raises InvalidRedex, carrying the failing step index and the pair
+    found there, at the first step that is not a redex of its word.
     """
     trace = [r.word]
-    for p in r.steps:
-        trace.append(apply_step(trace[-1], p))
+    for k, p in enumerate(r.steps):
+        current = trace[-1]
+        if not is_redex_at(current, p):
+            raise InvalidRedex(p, current, step=k)
+        trace.append(current[:p] + current[p + 2:])
     return trace
 
 

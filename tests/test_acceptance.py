@@ -324,10 +324,10 @@ def test_criterion_11_move_algebra(exhaustive_words, random_words):
     for word in reducible(itertools.chain(exhaustive_words, random_words)):
         graph = build_move_graph(word)
         for src in graph.nodes:
-            for move, dst in graph.adjacency[src]:
+            for dst, move in graph.adjacency[src].items():
                 back = Move(inverse_kind[move.kind], move.at)
                 checked += 1
-                if [s for m, s in graph.adjacency[dst] if m == back] != [src]:
+                if [s for s, m in graph.adjacency[dst].items() if m == back] != [src]:
                     failures.append((word, src, move))
     assert report(
         11,

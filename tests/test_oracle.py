@@ -10,7 +10,7 @@ from freeword import moves, oracle, transform
 from freeword.core import parse_word, render_word
 from freeword.errors import CapExceeded, InvalidArgument, NotIndependent, ParseError
 from freeword.group import normal_form
-from freeword.moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move, apply_move
+from freeword.moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move, applicable_moves, apply_move
 from freeword.oracle import (
     DEFAULT_CAP,
     MoveGraph,
@@ -112,44 +112,43 @@ def test_move_graph_every_edge_has_its_reverse():
     for text in ["a a' b b'", "a a' a a'", "a a' b c c' b'", "a a' a a' a a'"]:
         graph = build_move_graph(w(text))
         for src in graph.nodes:
-            for move, dst in graph.adjacency[src]:
-                reverse_kinds = {
-                    SWAP: (SWAP,),
-                    OVERLAP_LEFT: (OVERLAP_RIGHT,),
-                    OVERLAP_RIGHT: (OVERLAP_LEFT,),
+            for dst, move in graph.adjacency[src].items():
+                reverse_kind = {
+                    SWAP: SWAP,
+                    OVERLAP_LEFT: OVERLAP_RIGHT,
+                    OVERLAP_RIGHT: OVERLAP_LEFT,
                 }[move.kind]
-                back = [
-                    m for m, other in graph.adjacency[dst]
-                    if other == src and m.kind in reverse_kinds and m.at == move.at
-                ]
-                assert back, f"{move} from {src} has no reverse from {dst}"
+                back = graph.adjacency[dst].get(src)
+                assert back == Move(reverse_kind, move.at), \
+                    f"{move} from {src} has no reverse from {dst}"
 
 
 def test_check_connected_spots_a_gap():
     # hand-built graph with an unreachable node
-    graph = MoveGraph(
-        word=w("a a' a a'"),
-        nodes=((0, 0), (1, 0), (2, 0)),
-        adjacency={
-            (0, 0): ((Move(OVERLAP_RIGHT, 0), (1, 0)),),
-            (1, 0): ((Move(OVERLAP_LEFT, 0), (0, 0)),),
-            (2, 0): (),
-        },
-    )
+    adjacency = {
+        (0, 0): {(1, 0): Move(OVERLAP_RIGHT, 0)},
+        (1, 0): {(0, 0): Move(OVERLAP_LEFT, 0)},
+        (2, 0): {},
+    }
+    graph = MoveGraph(w("a a' a a'"), ((0, 0), (1, 0), (2, 0)), adjacency)
     assert not check_connected(graph)
+    # the same graph with the gap filled
+    adjacency[(1, 0)][(2, 0)] = Move(OVERLAP_RIGHT, 0)
+    adjacency[(2, 0)][(1, 0)] = Move(OVERLAP_LEFT, 0)
+    assert check_connected(graph)
 
 
 def test_check_connected_rejects_an_edge_leaving_the_node_set():
     # only a faulty move can produce such an edge; it must not pass
-    graph = MoveGraph(
-        word=w("a a' b b'"),
-        nodes=((0, 0), (2, 0)),
-        adjacency={
-            (0, 0): ((Move(SWAP, 0), (2, 0)), (Move(SWAP, 0), (9, 9))),
-            (2, 0): ((Move(SWAP, 0), (0, 0)),),
-        },
-    )
+    adjacency = {
+        (0, 0): {(2, 0): Move(SWAP, 0), (9, 9): Move(SWAP, 0)},
+        (2, 0): {(0, 0): Move(SWAP, 0)},
+    }
+    graph = MoveGraph(w("a a' b b'"), ((0, 0), (2, 0)), adjacency)
     assert not check_connected(graph)
+    # the same graph without the stray edge
+    del adjacency[(0, 0)][(9, 9)]
+    assert check_connected(graph)
 
 
 def test_check_triviality_witness():
@@ -550,7 +549,7 @@ def full_bfs(graph, start):
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for _, other in graph.adjacency.get(node, ()):
+        for other in graph.adjacency.get(node, {}).keys():
             if other not in dist:
                 dist[other] = dist[node] + 1
                 queue.append(other)
@@ -570,24 +569,60 @@ def record_pairs(monkeypatch):
     return pairs
 
 
-def record_searches(monkeypatch):
-    # every search the pair check runs, in order, with its result:
+def record_searches(monkeypatch, maps=None):
+    # every search the oracle runs, in order, with its result:
     # (start, distances) for a start's BFS, (start, target, distance)
-    # for a sampled pair
+    # for a sampled pair; maps, if given, collects the successor map
+    # each search is handed
     searches = []
+    maps = [] if maps is None else maps
     distances, distance = oracle._distances, oracle._distance
 
     def recording_distances(successors, start):
+        maps.append(successors)
         searches.append((start, distances(successors, start)))
         return searches[-1][-1]
 
     def recording_distance(successors, predecessors, start, target):
+        maps.append(successors)
         searches.append((start, target, distance(successors, predecessors, start, target)))
         return searches[-1][-1]
 
     monkeypatch.setattr(oracle, "_distances", recording_distances)
     monkeypatch.setattr(oracle, "_distance", recording_distance)
     return searches
+
+
+def test_move_graph_keeps_every_applicable_move():
+    # each node maps its neighbours, in applicable_moves order, to the
+    # move reaching each one; no two moves share a neighbour, so the
+    # map drops no move
+    nodes = 0
+    for word in [*SELF_TEST_WORDS, w(LARGE_WORD)]:
+        graph = build_move_graph(word)
+        for steps in graph.nodes:
+            applicable = applicable_moves(ReductionSequence(word, steps))
+            assert len(graph.adjacency[steps]) == len(applicable)
+            assert list(graph.adjacency[steps].items()) == [
+                (result.steps, move) for move, result in applicable]
+            nodes += 1
+    assert nodes > 2052  # LARGE_WORD's alone, so no word was skipped
+
+
+def test_searches_run_over_the_graph_adjacency_itself(monkeypatch):
+    # no search gets a successor map rebuilt from the adjacency:
+    # check_connected, a start's BFS and a sampled pair's two-sided
+    # search are all handed graph.adjacency itself
+    maps = []
+    searches = record_searches(monkeypatch, maps)
+    for text in [EXHAUSTIVE_WORD, LARGE_WORD]:
+        graph = build_move_graph(w(text))
+        del maps[:], searches[:]
+        assert check_connected(graph)
+        assert check_pairs(graph, random.Random(0)).ok
+        assert len(maps) == len(searches) > 1
+        assert all(m is graph.adjacency for m in maps)
+    assert {len(search) for search in searches} == {2, 3}
 
 
 @pytest.mark.parametrize("text,samples,seed", [
@@ -620,9 +655,9 @@ def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch)
         word=w("a a' a a'"),
         nodes=((0, 0), (1, 0), (2, 0)),
         adjacency={
-            (0, 0): ((Move(OVERLAP_RIGHT, 0), (1, 0)),),
-            (1, 0): ((Move(OVERLAP_RIGHT, 0), (2, 0)),),
-            (2, 0): ((Move(OVERLAP_LEFT, 0), (1, 0)), (Move(SWAP, 0), (9, 9))),
+            (0, 0): {(1, 0): Move(OVERLAP_RIGHT, 0)},
+            (1, 0): {(2, 0): Move(OVERLAP_RIGHT, 0)},
+            (2, 0): {(1, 0): Move(OVERLAP_LEFT, 0), (9, 9): Move(SWAP, 0)},
         },
     )
     reason = "target unreachable by single moves"
@@ -650,13 +685,13 @@ def damaged_graph(graph, rng):
     drop = rng.choice([0.1, 0.3, 0.6])
     adjacency = {}
     for node, edges in graph.adjacency.items():
-        kept = [edge for edge in edges if rng.random() >= drop]
+        kept = [edge for edge in edges.items() if rng.random() >= drop]
         if rng.random() < 0.2:
             stray = node + (len(node),)  # one step too many: never a node
-            kept.insert(rng.randrange(len(kept) + 1), (Move(SWAP, 0), stray))
+            kept.insert(rng.randrange(len(kept) + 1), (stray, Move(SWAP, 0)))
             if rng.random() < 0.5:
-                adjacency[stray] = ((Move(SWAP, 0), rng.choice(graph.nodes)),)
-        adjacency[node] = tuple(kept)
+                adjacency[stray] = {rng.choice(graph.nodes): Move(SWAP, 0)}
+        adjacency[node] = dict(kept)
     return MoveGraph(graph.word, graph.nodes, adjacency)
 
 
@@ -733,7 +768,7 @@ def expanded_until(graph, start, target):
     queue = deque([start])
     while queue and target not in dist:
         node = queue.popleft()
-        for _, other in graph.adjacency[node]:
+        for other in graph.adjacency[node].keys():
             if other not in dist:
                 dist[other] = dist[node] + 1
                 queue.append(other)
@@ -761,7 +796,7 @@ def test_check_pairs_search_stops_at_the_target(monkeypatch):
 def test_check_pairs_sampled_searches_meet_in_the_middle(monkeypatch):
     # both sides of the sampled searches together expand under 30 % of
     # the nodes that one-sided searches stopping at the same targets
-    # expand (27.6 %: 12,524 against 45,418)
+    # expand (27.6 %: 12,524 against 45,418, both pinned)
     pairs = record_pairs(monkeypatch)
     forward, backward = count_expansions(monkeypatch)
     searches = record_searches(monkeypatch)
@@ -771,3 +806,4 @@ def test_check_pairs_sampled_searches_meet_in_the_middle(monkeypatch):
     assert forward and backward
     one_sided = sum(expanded_until(graph, start, target) for start, target in pairs)
     assert len(forward) + len(backward) < 0.3 * one_sided
+    assert (len(forward) + len(backward), one_sided) == (12524, 45418)

@@ -127,6 +127,16 @@ def test_run_sequence_empty():
     assert run_sequence(ReductionSequence((), ())) == [()]
 
 
+def test_run_sequence_error_carries_step_index():
+    # the one checked walk: validate_sequence and overlap_switch go
+    # through it, so its error names the failing step as theirs do
+    with pytest.raises(InvalidRedex) as err:
+        run_sequence(ReductionSequence(w("a a' b b'"), (0, 5)))
+    assert err.value.step == 1
+    assert err.value.position == 5
+    assert str(err.value) == "no redex at position 5 at step 1"
+
+
 @given(sequences())
 def test_run_sequence_shrinks_by_two(r):
     trace = run_sequence(r)
