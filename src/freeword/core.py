@@ -72,23 +72,28 @@ def find_redexes(w: Word) -> list[int]:
 def parse_word(text: str) -> Word:
     """Parse the whitespace-separated word text format.
 
+    Any character for which ``str.isspace()`` is true separates tokens.
     The empty (or all-whitespace) string is the empty word.  Rejects
     anything that is not ``identifier`` or ``identifier'`` with a
-    ParseError carrying the offending token and its byte offset.
+    ParseError carrying the first offending token and the character
+    offset of its first occurrence.
     """
-    items = []
-    for match in _TOKEN.finditer(text):
-        token = match.group()
+    tokens = text.split()
+    # one item per distinct token: a long word over a few names reuses them
+    table = {}
+    for token in dict.fromkeys(tokens):
         if token.endswith("'"):
             name, sign = token[:-1], NEGATIVE
         else:
             name, sign = token, POSITIVE
         if not _IDENT.fullmatch(name):
-            raise ParseError("bad token in word", token=token, offset=match.start())
-        items.append(SignedGenerator(name, sign))
-    return tuple(items)
+            offset = next(m.start() for m in _TOKEN.finditer(text) if m.group() == token)
+            raise ParseError("bad token in word", token=token, offset=offset)
+        table[token] = SignedGenerator(name, sign)
+    return tuple(map(table.__getitem__, tokens))
 
 
 def render_word(w: Word) -> str:
     """Inverse of parse_word, up to whitespace normalisation."""
-    return " ".join(str(item) for item in w)
+    rendered = {item: str(item) for item in set(w)}
+    return " ".join(map(rendered.__getitem__, w))

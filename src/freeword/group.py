@@ -48,7 +48,8 @@ def inv(u: Word) -> Word:
     Sends normal forms to normal forms, no renormalisation needed: a
     redex in the output would mirror a redex in the input.
     """
-    return tuple(invert(item) for item in reversed(u))
+    inverse = {item: invert(item) for item in set(u)}
+    return tuple(map(inverse.__getitem__, reversed(u)))
 
 
 def eq(u: Word, v: Word) -> bool:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -151,6 +153,55 @@ def test_parse_word_error_echoes_a_long_token_in_part():
         parse_word("a " + token)
     assert err.value.token == token
     assert str(err.value) == f"bad token in word: {token[:40]!r}... (5000 characters) (offset 2)"
+
+
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def test_every_whitespace_character_separates_tokens():
+    assert len(WHITESPACE) == 29
+    for c in WHITESPACE:
+        assert parse_word(f"a{c}b'") == (signed("a"), signed("b", NEGATIVE)), hex(ord(c))
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def reference_parse(text):
+    """The word format read as one regex match per token."""
+    return tuple(
+        signed(token[:-1], NEGATIVE) if token.endswith("'") else signed(token)
+        for token in _TOKEN.findall(text)
+    )
+
+
+tokens = st.tuples(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True), st.sampled_from(["", "'"])
+).map("".join)
+gaps = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3)
+
+
+@given(st.lists(st.tuples(gaps, tokens), max_size=12), gaps)
+def test_parse_word_agrees_with_a_token_regex(runs, tail):
+    text = "".join(gap + token for gap, token in runs) + tail
+    assert parse_word(text) == reference_parse(text)
+    assert parse_word(text[1:]) == reference_parse(text[1:])
+
+
+@pytest.mark.parametrize("text, token, offset", [
+    # the bad token also occurs inside an earlier token; only a whole
+    # token counts
+    ("a' '", "'", 3),
+    ("a b$ c b$", "b$", 2),
+    ("b$ c$", "b$", 0),
+    pytest.param("a " * 10_000 + "b$", "b$", 20_000, id="after-10000-tokens"),
+    # a character offset: U+3000 is one character but three UTF-8 bytes
+    ("a\u3000b$", "b$", 2),
+])
+def test_parse_word_reports_the_first_bad_token_at_its_first_occurrence(text, token, offset):
+    with pytest.raises(ParseError) as err:
+        parse_word(text)
+    assert (err.value.token, err.value.offset) == (token, offset)
 
 
 def test_render_word_examples():

@@ -83,6 +83,16 @@ def test_inv_examples():
     assert inv(w("a")) == w("a'")
 
 
+def test_equal_items_share_one_object():
+    # parse_word and inv build each distinct item once per call; that
+    # sharing is what keeps the library-long benchmark workload fast
+    word = w("a b a' a")
+    assert word[0] is word[3]
+    inverse = inv(word)
+    assert inverse == w("a' a b' a'")
+    assert inverse[0] is inverse[3]
+
+
 def test_eq_examples():
     assert eq(w("a b b'"), w("a"))
     assert not eq(w("a"), w("b"))
