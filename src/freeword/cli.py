@@ -4,9 +4,10 @@ One subcommand per operation.  Each returns (payload, lines, exit
 code): the JSON object without its schema tag (tuples print as arrays)
 and the text output.  main alone prints: the lines, or with --json (and
 for abel, which has no text form) the payload as one JSON object with a
-top-level schema tag; graph --dot has no payload and prints DOT either
-way.  Exit codes: 0 success (for eq: equal), 1 semantic no (unequal, or
-a failed check), 2 error.
+top-level schema tag.  graph --dot has no payload and prints DOT either
+way.  reduce without --trace or --json has no payload either, since its
+trace is quadratic in the word's length.  Exit codes: 0 success (for
+eq: equal), 1 semantic no (unequal, or a failed check), 2 error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 import sys
 from dataclasses import asdict
 
-from .core import Word, parse_word, render_word
+from .core import parse_word, render_word
 from .errors import CapExceeded, FreewordError, ParseError
 from .group import abelianize, eq, greedy_reduction, inv, mul, normal_form
 from .moves import apply_move, render_chain
@@ -48,22 +49,23 @@ SCHEMA = "1"
 CommandResult = tuple[dict | None, list[str] | None, int]
 
 
-def _display(w: Word) -> str:
-    return render_word(w) or "nil"
+def _or_nil(text: str) -> str:
+    # the text form of a rendered word, or of rendered steps, that is empty
+    return text or "nil"
 
 
 def cmd_unary(args) -> CommandResult:
     # nf and inv: one word in, one word out, under args.key in JSON
     w = parse_word(args.word)
-    result = args.op(w)
-    return {"word": render_word(w), args.key: render_word(result)}, [_display(result)], 0
+    result = render_word(args.op(w))
+    return {"word": render_word(w), args.key: result}, [_or_nil(result)], 0
 
 
 def cmd_mul(args) -> CommandResult:
     u, v = parse_word(args.left), parse_word(args.right)
-    product = mul(u, v)
-    payload = {"left": render_word(u), "right": render_word(v), "product": render_word(product)}
-    return payload, [_display(product)], 0
+    product = render_word(mul(u, v))
+    payload = {"left": render_word(u), "right": render_word(v), "product": product}
+    return payload, [_or_nil(product)], 0
 
 
 def cmd_eq(args) -> CommandResult:
@@ -81,22 +83,24 @@ def cmd_abel(args) -> CommandResult:
 def cmd_reduce(args) -> CommandResult:
     w = parse_word(args.word)
     if args.steps is not None:
-        positions = validate_sequence(w, parse_steps(args.steps)).steps
+        positions, result = validate_sequence(w, parse_steps(args.steps)).steps, ()
     else:
-        positions = greedy_reduction(w)[0]
-    trace = run_sequence(ReductionSequence(w, positions))
-    annotations = [f"{before[p]} {before[p + 1]}" for before, p in zip(trace, positions)]
+        positions, result = greedy_reduction(w)
+    if not (args.trace or args.json):
+        # one line, no payload: the trace is quadratic in len(w)
+        return None, [_or_nil(render_word(result))], 0
+    words = run_sequence(ReductionSequence(w, positions))
+    trace = [render_word(step) for step in words]
+    annotations = [f"{before[p]} {before[p + 1]}" for before, p in zip(words, positions)]
     payload = {
-        "word": render_word(w),
+        "word": trace[0],
         "steps": positions,
-        "trace": [render_word(step) for step in trace],
+        "trace": trace,
         "annotations": annotations,
-        "result": render_word(trace[-1]),
+        "result": trace[-1],
     }
-    if not args.trace:
-        return payload, [_display(trace[-1])], 0
-    steps = [f"  --[{note}]--> {_display(after)}" for note, after in zip(annotations, trace[1:])]
-    return payload, [_display(w), *steps], 0
+    steps = [f"  --[{note}]--> {_or_nil(after)}" for note, after in zip(annotations, trace[1:])]
+    return payload, [_or_nil(trace[0]), *steps], 0
 
 
 def cmd_sequences(args) -> CommandResult:
@@ -126,21 +130,17 @@ def cmd_connect(args) -> CommandResult:
     return payload, [render_chain(chain)], 0
 
 
-def _node_id(steps) -> str:
-    return render_steps(steps) or "nil"
-
-
 def cmd_graph(args) -> CommandResult:
     w = parse_word(args.word)
     graph = build_move_graph(w, cap=args.cap)
     edges = graph.edges()
     if args.dot:
+        ids = {node: _or_nil(render_steps(node)) for node in graph.nodes}
         return None, [
             "graph reductions {",
             f'  label="{render_word(w)}";',
-            *(f'  "{_node_id(node)}";' for node in graph.nodes),
-            *(f'  "{_node_id(src)}" -- "{_node_id(dst)}" [label="{move}"];'
-              for src, dst, move in edges),
+            *(f'  "{ids[node]}";' for node in graph.nodes),
+            *(f'  "{ids[src]}" -- "{ids[dst]}" [label="{move}"];' for src, dst, move in edges),
             "}",
         ], 0
     connected = check_connected(graph)
@@ -204,12 +204,13 @@ def cmd_check(args) -> CommandResult:
     summary = ("mode", "words_checked", "sequences_enumerated", "pairs_verified",
                "max_chain_length", "max_bfs_distance")
     lines = [f"{key.replace('_', ' '):<20} {payload[key]}" for key in summary]
-    lines += [f"disconnected: {_display(w)}" for w in report.disconnected]
-    lines += [f"reducibility mismatch: {_display(w)}" for w in report.mismatched]
+    failures = payload["failures"]
+    lines += [f"disconnected: {_or_nil(w)}" for w in failures["disconnected"]]
+    lines += [f"reducibility mismatch: {_or_nil(w)}" for w in failures["mismatched"]]
     lines += [
-        f"transform failure: {_display(f.word)} "
-        f"{render_steps(f.start)} -> {render_steps(f.target)}: {f.reason}"
-        for f in report.transform_failures
+        f"transform failure: {_or_nil(f['word'])} "
+        f"{render_steps(f['start'])} -> {render_steps(f['target'])}: {f['reason']}"
+        for f in failures["transform"]
     ]
     lines.append(f"{'result':<20} " + ("ok" if report.ok else "FAILED"))
     return payload, lines, 0 if report.ok else 1
@@ -228,22 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--json", action="store_true", help="emit one JSON object")
     one_word = argparse.ArgumentParser(add_help=False, parents=[shared])
     one_word.add_argument("word")
+    two_words = argparse.ArgumentParser(add_help=False, parents=[shared])
+    two_words.add_argument("left")
+    two_words.add_argument("right")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help="refuse words longer than this (default %(default)s)")
 
     p = sub.add_parser("nf", parents=[one_word], help="normal form of a word")
     p.set_defaults(func=cmd_unary, op=normal_form, key="normal_form")
 
-    p = sub.add_parser("mul", parents=[shared], help="product of two words")
-    p.add_argument("left")
-    p.add_argument("right")
+    p = sub.add_parser("mul", parents=[two_words], help="product of two words")
     p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("inv", parents=[one_word], help="group inverse of a word")
     p.set_defaults(func=cmd_unary, op=inv, key="inverse")
 
-    p = sub.add_parser("eq", parents=[shared],
+    p = sub.add_parser("eq", parents=[two_words],
                        help="same group element? exit 0 yes, 1 no")
-    p.add_argument("left")
-    p.add_argument("right")
     p.set_defaults(func=cmd_eq)
 
     p = sub.add_parser("abel", parents=[one_word], help="exponent sums per generator")
@@ -255,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print every intermediate word")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("sequences", parents=[one_word],
+    p = sub.add_parser("sequences", parents=[one_word, capped],
                        help="enumerate all complete reductions of a word")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="refuse words longer than this (default %(default)s)")
     p.set_defaults(func=cmd_sequences)
 
     p = sub.add_parser("connect", parents=[one_word],
@@ -267,14 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="sequence to reach")
     p.set_defaults(func=cmd_connect)
 
-    p = sub.add_parser("graph", parents=[one_word],
+    p = sub.add_parser("graph", parents=[one_word, capped],
                        help="move graph of all reductions of a word")
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="refuse words longer than this (default %(default)s)")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("check", parents=[shared],
+    p = sub.add_parser("check", parents=[shared, capped],
                        help="sweep a corpus of words through the oracle checks")
     p.add_argument("--alphabet", default="a,b", help="comma separated names (default a,b)")
     p.add_argument("--max-len", type=int, default=6, dest="max_len",
@@ -285,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--samples", type=int, default=None,
                        help="check this many random fully reducible words instead")
     p.add_argument("--seed", type=int, default=0, help="rng seed for --samples")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="enumeration length cap (default %(default)s)")
     p.set_defaults(func=cmd_check)
 
     return parser
@@ -314,7 +311,3 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 2
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

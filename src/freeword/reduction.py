@@ -13,7 +13,7 @@ Sequence text format: comma or whitespace separated positions, e.g.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Word, is_redex_at
 from .errors import IncompleteReduction, InvalidRedex, ParseError
@@ -44,7 +44,8 @@ def validate_sequence(w: Word, positions: Iterable[int]) -> ReductionSequence:
     Raises InvalidRedex as run_sequence does, or IncompleteReduction
     carrying the leftover word."""
     r = ReductionSequence(w, tuple(positions))
-    leftover = run_sequence(r)[-1]
+    for leftover in _walk(r):
+        pass  # keeps one word at a time: a whole trace is quadratic in len(w)
     if leftover:
         raise IncompleteReduction(leftover)
     return r
@@ -58,13 +59,18 @@ def run_sequence(r: ReductionSequence) -> list[Word]:
     Raises InvalidRedex, carrying the failing step index and the pair
     found there, at the first step that is not a redex of its word.
     """
-    trace = [r.word]
+    return list(_walk(r))
+
+
+def _walk(r: ReductionSequence) -> Iterator[Word]:
+    # the one checked walk: r.word, then the word after each step
+    current = r.word
+    yield current
     for k, p in enumerate(r.steps):
-        current = trace[-1]
         if not is_redex_at(current, p):
             raise InvalidRedex(p, current, step=k)
-        trace.append(current[:p] + current[p + 2:])
-    return trace
+        current = current[:p] + current[p + 2:]
+        yield current
 
 
 # A step or move position in text: 1 to 18 ASCII digits, few enough

@@ -1,15 +1,20 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeword import oracle
-from freeword.cli import main
+from freeword.cli import build_parser, main
+from freeword.core import parse_word, render_word
 from freeword.errors import NotIndependent
+from freeword.reduction import render_steps
 from freeword.transform import transform_to
 
 
@@ -125,6 +130,48 @@ def test_reduce_json(capsys):
     assert payload["result"] == ""
 
 
+DEEP_WORD = " ".join(["a"] * 6000 + ["a'"] * 6000)
+
+
+@pytest.mark.parametrize("steps", [[], ["--steps", ",".join(map(str, range(5999, -1, -1)))]])
+def test_reduce_answers_in_linear_memory(capsys, steps):
+    # the trace of this word holds 36 million items; the one-line answer
+    # needs none of it
+    tracemalloc.start()
+    try:
+        code = main(["reduce", DEEP_WORD, *steps])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, "nil\n")
+    assert peak < 10_000_000
+
+
+def _stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+# random words over a, b of up to 12 letters, and as many fully
+# reducible ones, which random words seldom are
+REDUCE_WORDS = st.one_of(
+    st.lists(st.sampled_from(["a", "a'", "b", "b'"]), max_size=12).map(" ".join),
+    st.builds(lambda pairs, seed: render_word(
+        oracle.random_reducible_word(("a", "b"), pairs, random.Random(seed))),
+        st.integers(1, 6), st.integers(0, 10 ** 6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(REDUCE_WORDS)
+def test_reduce_prints_what_nf_prints(word):
+    assert _stdout("reduce", word) == _stdout("nf", word)
+    for r in oracle.enumerate_sequences(parse_word(word)):
+        assert _stdout("reduce", word, "--steps", render_steps(r.steps)) == "nil\n"
+
+
 def test_sequences(capsys):
     code, out, _ = run(capsys, "sequences", "a a' a a'")
     assert code == 0
@@ -145,6 +192,15 @@ def test_sequences_cap(capsys):
     assert "cap" in err
     code, out, _ = run(capsys, "sequences", word, "--cap", "13")
     assert (code, out) == (0, "")
+
+
+def test_capped_commands_share_one_cap_option():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    caps = [next(a for a in commands.choices[name]._actions if "--cap" in a.option_strings)
+            for name in ("sequences", "graph", "check")]
+    assert caps[0] is caps[1] is caps[2]
+    assert caps[0].default == oracle.DEFAULT_CAP
 
 
 def test_connect(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -111,6 +112,19 @@ def test_validate_sequence_error_carries_step_index():
         validate_sequence(w("a a' b b'"), (0, 5))
     assert err.value.step == 1
     assert err.value.position == 5
+
+
+def test_validate_sequence_keeps_one_word_at_a_time():
+    # a^6000 a'^6000 cancelled from the middle out: its whole trace holds
+    # 36 million items, close to 300 MB, while one word is under 100 kB
+    word = w(" ".join(["a"] * 6000 + ["a'"] * 6000))
+    tracemalloc.start()
+    try:
+        validate_sequence(word, range(5999, -1, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_run_sequence_trace():
