@@ -18,13 +18,15 @@ index edited; chains are comma separated.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, NamedTuple
 
 from .core import Word
 from .errors import (
     FreewordError, IndexOutOfRange, InvalidArgument, NoOverlap, NotIndependent, ParseError,
+    WordMismatch,
 )
-from .reduction import POSITION_PATTERN, ReductionSequence, run_sequence
+from .reduction import POSITION_PATTERN, ReductionSequence, walk
 
 SWAP = "swap"
 OVERLAP_LEFT = "ovl"
@@ -45,6 +47,7 @@ class Move(NamedTuple):
 
 
 MoveChain = tuple[Move, ...]
+Steps = tuple[int, ...]
 
 
 def swap(r: ReductionSequence, i: int) -> ReductionSequence:
@@ -99,12 +102,15 @@ def overlap_switch(r: ReductionSequence, i: int, direction: str) -> ReductionSeq
     unaffected; the whole trace of words stays the same.  Raises
     InvalidRedex, with the step index, when step i is not a redex of
     the word it acts on, as in a sequence built by hand; so does an
-    earlier step, with its own index.
+    earlier step, with its own index.  The prefix is walked one word at
+    a time, so memory stays linear in the word.
     """
     steps = r.steps
     if not 0 <= i < len(steps):
         raise IndexOutOfRange(i, len(steps))
-    before = run_sequence(ReductionSequence(r.word, steps[:i + 1]))[i]
+    # the last two words of the walk through step i, which checks step
+    # i too: the word before it and the word after it
+    before = deque(walk(r.word, steps[:i + 1]), maxlen=2)[0]
     p = steps[i]
     target = _overlap_target(before, p, direction)
     if target is None:
@@ -137,21 +143,58 @@ def applicable_moves(r: ReductionSequence) -> list[tuple[Move, ReductionSequence
     """Every single move applicable to r, with its result.
 
     Deterministic order: by step index, swap then ovl then ovr.  The
-    trace is computed once, so this is the cheap way to fan out from a
-    sequence when building graphs.
+    one-node case of neighbour_maps.
     """
-    trace = run_sequence(r)
-    steps = r.steps
-    out: list[tuple[Move, ReductionSequence]] = []
-    for i, p in enumerate(steps):
-        if i + 1 < len(steps) and steps[i + 1] != p - 1:
-            out.append((Move(SWAP, i), swap(r, i)))
-        for kind, direction in _DIRECTION_OF.items():
-            target = _overlap_target(trace[i], p, direction)
-            if target is not None:
-                edited = steps[:i] + (target,) + steps[i + 1:]
-                out.append((Move(kind, i), ReductionSequence(r.word, edited)))
-    return out
+    return [(move, ReductionSequence(r.word, steps))
+            for steps, move in neighbour_maps([r])[r.steps].items()]
+
+
+def neighbour_maps(sequences: Iterable[ReductionSequence]) -> dict[Steps, dict[Steps, Move]]:
+    """{steps: {neighbour steps: the move reaching it}} for sequences
+    of one word, each map in applicable_moves order.  Distinct moves
+    from a reduction reach distinct neighbours, so no move is dropped.
+    Sequences of different words raise WordMismatch.
+
+    One pass: the trace of the current sequence is kept, and only the
+    words past the steps it shares with the previous sequence are
+    walked again, each step checked as run_sequence checks it.
+    Sequences in lexicographic order, as enumeration yields them, share
+    most of their steps.  Each Move is built once.
+    """
+    maps: dict[Steps, dict[Steps, Move]] = {}
+    trace: list[Word] = []  # trace[j]: the word before step j of the last sequence
+    last: Steps = ()
+    table: list[tuple[Move, list[tuple[Move, str]]]] = []  # the moves at each step index
+    for seq in sequences:
+        steps = seq.steps
+        if not trace:
+            trace = [seq.word]
+        elif seq.word != trace[0]:
+            raise WordMismatch(
+                f"sequences reduce different words ({len(trace[0])} and {len(seq.word)} items)"
+            )
+        shared = 0
+        for p, q in zip(steps, last):
+            if p != q:
+                break
+            shared += 1
+        trace[shared:] = walk(trace[shared], steps, shared)
+        last = steps
+        k = len(steps)
+        table.extend(
+            (Move(SWAP, i), [(Move(kind, i), side) for kind, side in _DIRECTION_OF.items()])
+            for i in range(len(table), k)
+        )
+        neighbours = maps[steps] = {}
+        for i, p in enumerate(steps):
+            swap_move, switches = table[i]
+            if i + 1 < k and steps[i + 1] != p - 1:
+                neighbours[swap(seq, i).steps] = swap_move
+            for move, direction in switches:
+                target = _overlap_target(trace[i], p, direction)
+                if target is not None:
+                    neighbours[steps[:i] + (target,) + steps[i + 1:]] = move
+    return maps
 
 
 _KINDS = (SWAP, *_DIRECTION_OF)

@@ -21,15 +21,13 @@ from dataclasses import dataclass, field
 from .core import SignedGenerator, Word, find_redexes, invert, render_word, signed
 from .errors import CapExceeded, FreewordError, InvalidArgument, ParseError
 from .group import normal_form
-from .moves import Move, applicable_moves, apply_move
+from .moves import Move, Steps, apply_move, neighbour_maps
 from .reduction import ReductionSequence
 from .transform import transform_to
 
 DEFAULT_CAP = 12
 PAIR_THRESHOLD = 200
 PAIR_SAMPLES = 50
-
-Steps = tuple[int, ...]
 
 
 def _step_lists(w: Word) -> tuple[Steps, ...]:
@@ -91,11 +89,7 @@ class MoveGraph:
 
 def build_move_graph(w: Word, cap: int = DEFAULT_CAP) -> MoveGraph:
     sequences = enumerate_sequences(w, cap)
-    adjacency = {
-        seq.steps: {result.steps: move for move, result in applicable_moves(seq)}
-        for seq in sequences
-    }
-    return MoveGraph(w, tuple(seq.steps for seq in sequences), adjacency)
+    return MoveGraph(w, tuple(seq.steps for seq in sequences), neighbour_maps(sequences))
 
 
 def check_connected(graph: MoveGraph) -> bool:

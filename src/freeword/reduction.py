@@ -44,7 +44,7 @@ def validate_sequence(w: Word, positions: Iterable[int]) -> ReductionSequence:
     Raises InvalidRedex as run_sequence does, or IncompleteReduction
     carrying the leftover word."""
     r = ReductionSequence(w, tuple(positions))
-    for leftover in _walk(r):
+    for leftover in walk(w, r.steps):
         pass  # keeps one word at a time: a whole trace is quadratic in len(w)
     if leftover:
         raise IncompleteReduction(leftover)
@@ -59,14 +59,19 @@ def run_sequence(r: ReductionSequence) -> list[Word]:
     Raises InvalidRedex, carrying the failing step index and the pair
     found there, at the first step that is not a redex of its word.
     """
-    return list(_walk(r))
+    return list(walk(r.word, r.steps))
 
 
-def _walk(r: ReductionSequence) -> Iterator[Word]:
-    # the one checked walk: r.word, then the word after each step
-    current = r.word
+def walk(w: Word, steps: tuple[int, ...], start: int = 0) -> Iterator[Word]:
+    """The one checked walk: w, then the word after each of
+    steps[start:].  w is the word before step start, so a caller that
+    kept the words of a shared prefix resumes from there.  Raises
+    InvalidRedex, carrying the step's index in steps, at the first step
+    that is not a redex of its word."""
+    current = w
     yield current
-    for k, p in enumerate(r.steps):
+    for k in range(start, len(steps)):
+        p = steps[k]
         if not is_redex_at(current, p):
             raise InvalidRedex(p, current, step=k)
         current = current[:p] + current[p + 2:]

@@ -546,7 +546,7 @@ def _seed_defects(monkeypatch):
     # a truncated chain, a move graph without edges and a wrong normal
     # form: each failure kind of a check report shows up
     monkeypatch.setattr(oracle, "transform_to", lambda r, s: transform_to(r, s)[:-1])
-    monkeypatch.setattr(oracle, "applicable_moves", lambda r: ())
+    monkeypatch.setattr(oracle, "neighbour_maps", lambda seqs: {r.steps: {} for r in seqs})
     monkeypatch.setattr(oracle, "normal_form", lambda w: ())
 
 

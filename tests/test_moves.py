@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from freeword.core import parse_word
 from freeword.errors import (
     FreewordError, IndexOutOfRange, InvalidRedex, NoOverlap, NotIndependent, ParseError,
+    WordMismatch,
 )
 from freeword.moves import (
     LEFT,
@@ -14,6 +17,7 @@ from freeword.moves import (
     applicable_moves,
     apply_chain,
     apply_move,
+    neighbour_maps,
     overlap_switch,
     parse_chain,
     parse_move,
@@ -130,6 +134,22 @@ def test_overlap_switch_names_a_bad_step_before_the_switched_one():
         assert str(err.value) == "no redex at position 5 at step 0"
 
 
+def test_overlap_switch_keeps_one_word_at_a_time():
+    # a^6000 a'^6000 cancelled from the middle out: listing the prefix's
+    # trace held close to 300 MB to read one word of under 100 kB
+    word = w(" ".join(["a"] * 6000 + ["a'"] * 6000))
+    r = ReductionSequence(word, tuple(range(5999, -1, -1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoOverlap) as err:
+            overlap_switch(r, 5999, RIGHT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == str(NoOverlap(5999, 0, RIGHT))
+    assert peak < 10_000_000
+
+
 def test_overlap_at_a_later_step():
     # the overlapping configuration appears only after the first step
     r = seq("b b' a a' a a'", (0, 0, 0))
@@ -182,6 +202,36 @@ def test_applicable_moves_matches_single_ops():
     for r in corpus_sequences():
         for move, result in applicable_moves(r):
             assert apply_move(r, move) == result
+
+
+def test_neighbour_maps_match_applicable_moves_in_any_order():
+    # the trace reused from the previous sequence must not depend on
+    # the sequences arriving in enumeration order
+    for text in CORPUS_WORDS:
+        sequences = enumerate_sequences(w(text))
+        for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
+            maps = neighbour_maps(order)
+            assert list(maps) == [r.steps for r in order]
+            for r in order:
+                assert [(move, ReductionSequence(r.word, steps))
+                        for steps, move in maps[r.steps].items()] == applicable_moves(r)
+
+
+@pytest.mark.parametrize("steps,position,step", [
+    ((0, 1), 1, 1),  # shares step 0 with (0, 0); its last step is no redex
+    ((5, 0), 5, 0),  # shares nothing
+])
+def test_neighbour_maps_check_every_step_past_the_shared_prefix(steps, position, step):
+    word = w("a a' b b'")
+    bad = ReductionSequence(word, steps)  # built by hand, never validated
+    with pytest.raises(InvalidRedex) as err:
+        neighbour_maps([seq("a a' b b'", (0, 0)), bad])
+    assert (err.value.position, err.value.step) == (position, step)
+
+
+def test_neighbour_maps_reject_sequences_of_two_words():
+    with pytest.raises(WordMismatch):
+        neighbour_maps([seq("a a'", (0,)), seq("b b'", (0,))])
 
 
 def test_swap_is_an_involution():

@@ -8,7 +8,7 @@ import pytest
 
 from freeword import moves, oracle, transform
 from freeword.core import parse_word, render_word
-from freeword.errors import CapExceeded, InvalidArgument, NotIndependent, ParseError
+from freeword.errors import CapExceeded, FreewordError, InvalidArgument, NotIndependent, ParseError
 from freeword.group import normal_form
 from freeword.moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move, applicable_moves, apply_move
 from freeword.oracle import (
@@ -605,6 +605,30 @@ def test_move_graph_keeps_every_applicable_move():
             assert len(graph.adjacency[steps]) == len(applicable)
             assert list(graph.adjacency[steps].items()) == [
                 (result.steps, move) for move, result in applicable]
+            nodes += 1
+    assert nodes > 2052  # LARGE_WORD's alone, so no word was skipped
+
+
+def test_move_graph_holds_exactly_the_moves_apply_move_accepts():
+    # build_move_graph and applicable_moves share one implementation, so
+    # check the graph against apply_move, whose swap and overlap_switch
+    # walk each node on their own: every kind at every step index that
+    # apply_move accepts is an edge to the sequence it returns, in step
+    # index order, swap then ovl then ovr, and no other move is
+    nodes = 0
+    for word in [*SELF_TEST_WORDS, w(LARGE_WORD)]:
+        graph = build_move_graph(word)
+        k = len(word) // 2
+        for steps in graph.nodes:
+            r = ReductionSequence(word, steps)
+            accepted = []
+            kinds = (SWAP, OVERLAP_LEFT, OVERLAP_RIGHT)
+            for move in (Move(kind, i) for i in range(k) for kind in kinds):
+                try:
+                    accepted.append((apply_move(r, move).steps, move))
+                except FreewordError:
+                    pass
+            assert list(graph.adjacency[steps].items()) == accepted
             nodes += 1
     assert nodes > 2052  # LARGE_WORD's alone, so no word was skipped
 
