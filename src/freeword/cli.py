@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict
 
 from .core import parse_word, render_word
-from .errors import CapExceeded, FreewordError, ParseError
+from .errors import FreewordError, ParseError
 from .group import abelianize, eq, greedy_reduction, inv, mul, normal_form
 from .moves import apply_move, render_chain
 from .oracle import (
@@ -32,6 +32,7 @@ from .oracle import (
     check_connected,
     check_corpus,
     enumerate_sequences,
+    guard_cap,
     random_reducible_word,
     signed_alphabet,
 )
@@ -169,8 +170,7 @@ def cmd_check(args) -> CommandResult:
     if args.samples is not None and args.max_len < 2:
         # a sampled word has at least one cancelling pair
         raise ParseError("--max-len must be at least 2 with --samples", token=str(args.max_len))
-    if args.max_len > args.cap:
-        raise CapExceeded(args.max_len, args.cap)
+    guard_cap(args.max_len, args.cap)
     if args.samples is not None:
         rng = random.Random(args.seed)
         words = [

@@ -27,9 +27,9 @@ class FreewordError(Exception):
 
 class InvalidArgument(FreewordError, ValueError):
     """An argument outside its allowed values: a sign, an overlap
-    direction, a move kind, or a corpus generator's negative length or
-    pair count or empty alphabet.  Also a ValueError, as for the
-    builtins."""
+    direction, a move kind, a corpus generator's negative length or
+    pair count or empty alphabet, or a negative enumeration cap.  Also
+    a ValueError, as for the builtins."""
 
 
 class ParseError(FreewordError):

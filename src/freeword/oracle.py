@@ -51,12 +51,21 @@ def _step_lists(w: Word) -> tuple[Steps, ...]:
     return lists[w]
 
 
+def guard_cap(length: int, cap: int) -> None:
+    """Raise InvalidArgument for a negative cap, and CapExceeded for a
+    word length above the cap."""
+    if cap < 0:
+        raise InvalidArgument(f"cap must not be negative, got {cap!r}")
+    if length > cap:
+        raise CapExceeded(length, cap)
+
+
 def enumerate_sequences(w: Word, cap: int = DEFAULT_CAP) -> list[ReductionSequence]:
     """All complete reductions of w, duplicate-free, in lexicographic
     position order.  Empty iff the normal form of w is nonempty; the
-    empty word has exactly the empty sequence."""
-    if len(w) > cap:
-        raise CapExceeded(len(w), cap)
+    empty word has exactly the empty sequence.  Raises what guard_cap
+    raises for len(w) and cap."""
+    guard_cap(len(w), cap)
     return [ReductionSequence(w, steps) for steps in _step_lists(w)]
 
 

@@ -75,10 +75,24 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
     return tuple(moves), ReductionSequence(r.word, tuple(steps))
 
 
-# The previous successful transform_to call, published by one assignment
-# and never mutated: (start, target steps, chain, levels).  levels[j] is
-# (steps, word, chain length) after j levels; every call keeps all of
-# them, so any next call from the same start can resume.
+# The previous successful transform_to call, published by one assignment:
+# (start, target steps, chain, levels, tails, shared).  levels[j] is
+# (steps, word, chain length) after j levels, up to the last level the
+# call reached, so a next call from the same start can resume.  tails is
+# the table of one word: it maps the sub-problem ((word, steps),
+# target[j:]) after j levels to the rest of the chain, its moves lifted
+# by j.  Only a call resuming from the previous start consults it, at the
+# level it resumes from and at each level it computes, and only such a
+# call that succeeds adds the levels it computed: at most one entry per
+# _front call since the word last changed.  Level 0, whose tail is the
+# whole chain of one pair, and the last level, which makes no moves, are
+# neither looked up nor stored.  shared keeps one object per distinct
+# state, suffix and tail of the table.  These are pairs of tuples, tuples
+# of ints and tuples of moves, so no two kinds are equal but (), which is
+# one object anyway.  A fresh start keeps both while the word stays the
+# same and drops them for another word.  Every other part is never
+# mutated.  Keys and values are tuples, and a value is a pure function of
+# its key, so racing threads store equal values.
 _memo: tuple | None = None
 
 
@@ -100,10 +114,18 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
 
     The state after level j depends only on r and the first j steps of
     s, so one slot keeps the previous successful call, with a snapshot
-    after every level.  A call from the same start resumes after the
-    deepest level its target shares with the stored target, keeping the
-    chain up to there.  Results and errors are those of a call from
-    scratch.
+    after every level it reached.  A call from the same start resumes
+    after the deepest level its target shares with the stored target,
+    keeping the chain up to there.  The rest of the chain from level j
+    depends only on the word and steps after j levels and on target[j:],
+    so the slot also holds a table of such tails for the current word,
+    keyed by ((word, steps), target[j:]) and shared by all starts.  A
+    resumed call looks up each level before computing it, but the first
+    and the last, and on a hit appends the stored tail and stops; a call
+    from a new start neither reads nor fills the table.  Entries are
+    immutable and each is a pure function of its key, so threads racing
+    on the table store equal values.  Results and errors are those of a
+    call from scratch.
     """
     global _memo
     if r.word != s.word:
@@ -112,29 +134,47 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
         )
     target = s.steps
     memo = _memo
-    if memo is None or memo[0] != r:
+    resumed = memo is not None and memo[0] == r
+    if resumed:
+        # the same start was validated by a call that completed
+        _, previous, old_chain, levels, tails, shared = memo
+    else:
         validate_sequence(r.word, r.steps)
         previous, old_chain, levels = (), (), [(r.steps, r.word, 0)]
-    else:
-        # the same start was validated by a call that completed
-        _, previous, old_chain, levels = memo
-    level = 0
-    limit = min(len(target), len(previous))
-    while level < limit and target[level] == previous[level]:
-        level += 1
-    levels = levels[:level + 1]  # a copy: published levels never change
-    kept, word, length = levels[level]
+        same_word = memo is not None and memo[4] and memo[0].word == r.word
+        tails, shared = memo[4:] if same_word else ({}, {})
+    start = 0
+    limit = min(len(target), len(previous), len(levels) - 1)
+    while start < limit and target[start] == previous[start]:
+        start += 1
+    levels = levels[:start + 1]  # a copy: published levels never change
+    kept, word, length = levels[start]
     steps, chain = list(kept), list(old_chain[:length])
-    for level in range(level, len(target)):
+    for level in range(start, len(target)):
+        if resumed and level and len(steps) > 1:
+            tail = tails.get(((word, kept), target[level:]))
+            if tail is not None:
+                # stored by a call that completed, so this one completes
+                chain += tail
+                break
         p = target[level]
         chain += _front(word, steps, p, level)
         word = word[:p] + word[p + 2:]
         del steps[0]
-        levels.append((tuple(steps), word, len(chain)))
-    if word:
-        raise IncompleteReduction(word)
+        kept = tuple(steps)
+        levels.append((kept, word, len(chain)))
+    else:
+        if word:
+            raise IncompleteReduction(word)
     result = tuple(chain)
-    _memo = (r, target, result, levels)
+    if resumed:
+        for level in range(start, len(levels) - 1):
+            kept, word, length = levels[level]
+            if level and len(kept) > 1:
+                state, suffix, tail = (word, kept), target[level:], result[length:]
+                key = (shared.setdefault(state, state), shared.setdefault(suffix, suffix))
+                tails[key] = shared.setdefault(tail, tail)
+    _memo = (r, target, result, levels, tails, shared)
     return result
 
 

@@ -438,6 +438,7 @@ PINNED_ARGV = [
     ("graph", "a b"),
     ("graph", "a b", "--dot"),
     ("graph", ""),
+    ("graph", "", "--cap", "-1"),
     ("check", "--alphabet", "a,b", "--max-len", "4"),
     ("check", "--alphabet", "a,b,c", "--max-len", "8", "--samples", "5", "--seed", "3"),
     ("check", "--max-len", "0"),
@@ -519,6 +520,8 @@ PINNED = {
     ('graph', 'a b', '--dot', '--json'): (0, '79d37f66895432ef'),
     ('graph', ''): (0, 'a83e20bf4d5089aa'),
     ('graph', '', '--json'): (0, 'c2b30808fd11a29e'),
+    ('graph', '', '--cap', '-1'): (2, '10af72ff23626e8c'),
+    ('graph', '', '--cap', '-1', '--json'): (2, '10af72ff23626e8c'),
     ('check', '--alphabet', 'a,b', '--max-len', '4'): (0, '8820f04e76e0d6a3'),
     ('check', '--alphabet', 'a,b', '--max-len', '4', '--json'): (0, 'be2c9c944a938f16'),
     ('check', '--alphabet', 'a,b,c', '--max-len', '8', '--samples', '5', '--seed', '3'):

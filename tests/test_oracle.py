@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -24,8 +25,8 @@ from freeword.oracle import (
     random_reducible_word,
     signed_alphabet,
 )
-from freeword.transform import transform_to
-from freeword.reduction import ReductionSequence, validate_sequence
+from freeword.transform import front_reduction, transform_to
+from freeword.reduction import ReductionSequence, apply_step, validate_sequence
 
 
 def w(text):
@@ -57,6 +58,15 @@ def test_enumerate_respects_cap():
     with pytest.raises(CapExceeded):
         enumerate_sequences(long_word)
     assert enumerate_sequences(long_word, cap=14)
+
+
+@pytest.mark.parametrize("text", ["", "a a'"])
+def test_enumerate_rejects_a_negative_cap(text):
+    # used to raise CapExceeded, "word length 0 exceeds enumeration cap -1"
+    with pytest.raises(InvalidArgument, match=r"^cap must not be negative, got -1$"):
+        enumerate_sequences(w(text), cap=-1)
+    with pytest.raises(InvalidArgument):
+        build_move_graph(w(text), cap=-1)
 
 
 def test_enumerate_a_word_deeper_than_the_recursion_limit():
@@ -511,6 +521,51 @@ def test_check_pairs_applies_each_move_once_per_node(monkeypatch):
     assert len(met) < total
 
 
+def reference_front_count(word, nodes):
+    # transform_to's rule over check_pairs' order, on a model of its
+    # states: a fresh start computes every level and stores nothing; a
+    # call from the previous start resumes after the prefix its target
+    # shares with the previous target, as deep as that call went, and
+    # stops at the first level whose sub-problem it finds in the table;
+    # if it succeeds, it stores the levels it computed.  Level 0 and the
+    # last level are neither looked up nor stored.
+    k = len(word) // 2
+    states = {}
+
+    def state(start, prefix):
+        # the word and fronted steps after len(prefix) levels
+        if not prefix:
+            return word, start
+        if (start, prefix) not in states:
+            before, steps = state(start, prefix[:-1])
+            _, fronted = front_reduction(ReductionSequence(before, steps), prefix[-1])
+            states[start, prefix] = apply_step(before, prefix[-1]), fronted.steps[1:]
+        return states[start, prefix]
+
+    table = set()
+    fronts = 0
+    for start in nodes:
+        previous = None
+        for target in nodes:
+            level = 0
+            if previous is not None:
+                while level < reached and target[level] == previous[level]:
+                    level += 1
+            computed = []
+            while level < k:
+                key = (state(start, target[:level]), target[level:])
+                if previous is not None and 0 < level < k - 1:
+                    if key in table:
+                        break
+                    computed.append(key)
+                fronts += 1
+                level += 1
+            if previous is not None:
+                table.update(computed)
+            previous, reached = target, level
+    return fronts, len(table)
+
+
 def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
     graph = build_move_graph(w(SWEEP_WORD))
     calls = []
@@ -521,20 +576,28 @@ def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
 
     patch_with_cold_memo(monkeypatch, transform, "_front", counting_front)
     assert check_pairs(graph).ok
-    # per start, the first call runs every level; each later call runs
-    # only the levels past the prefix its target shares with the previous
-    # target
-    k = len(graph.word) // 2
-    expected = 0
-    for start in graph.nodes:
-        for i, target in enumerate(graph.nodes):
-            shared = 0
-            if i >= 1:
-                previous = graph.nodes[i - 1]
-                while shared < k and target[shared] == previous[shared]:
-                    shared += 1
-            expected += k - shared
-    assert len(calls) == expected < k * len(graph.nodes) ** 2
+    table = transform._memo[4]
+    monkeypatch.setattr(transform, "_front", ORIGINAL_FRONT)
+    # the table holds at most one entry per _front call since the word
+    # changed, and its tails spare nearly every level that resuming from
+    # the previous target alone recomputed: 96,840 _front calls
+    fronts, entries = reference_front_count(graph.word, graph.nodes)
+    assert len(calls) == fronts <= 6000
+    assert len(table) == entries <= fronts
+
+
+def test_check_pairs_table_memory_is_bounded(monkeypatch):
+    # every ordered pair of the 180-sequence word: the table's entries
+    # and the rest of the pair check stay within 1 MiB traced
+    graph = build_move_graph(w(SWEEP_WORD))
+    monkeypatch.setattr(transform, "_memo", None)
+    tracemalloc.start()
+    try:
+        assert check_pairs(graph).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # One-letter 12-letter words of the graph-large kind: the first has

@@ -363,15 +363,34 @@ def test_transform_to_memo_holds_one_call_of_immutable_values():
     r = nodes[5]
     for s in nodes[:3]:
         chain = transform_to(r, s)
-    start, target, stored, levels = transform._memo
+    start, target, stored, levels, tails, shared = transform._memo
     assert (start, target, stored) == (r, nodes[2].steps, chain)
-    # the caller's chain and every snapshot, one per level, are tuples
+    # the caller's chain and every snapshot, one per level reached, are tuples
     assert type(chain) is tuple
-    assert len(levels) == k + 1
+    assert 0 < len(levels) <= k + 1
     assert all(type(kept) is tuple and type(word) is tuple for kept, word, _ in levels)
-    assert levels[-1] == ((), (), len(chain))
+    # a new start of the same word keeps every level and the same table
     transform_to(nodes[6], nodes[0])
-    assert len(transform._memo[3]) == k + 1  # a new start keeps every level too
+    assert len(transform._memo[3]) == k + 1
+    assert transform._memo[4] is tails and transform._memo[5] is shared
+    # every ordered pair fills the table; each entry is a tuple, and its
+    # tail is the cold chain of its sub-problem with every at raised by j
+    for r in nodes:
+        for s in nodes:
+            transform_to(r, s)
+    tails = transform._memo[4]
+    assert len(tails) > 100
+    for key, tail in list(tails.items()):
+        (word, steps), suffix = key
+        assert all(type(part) is tuple for part in (key, key[0], word, steps, suffix, tail))
+        j = k - len(steps)
+        assert 0 < j < k - 1  # neither level 0 nor the last level is stored
+        assert len(word) == 2 * len(steps) == 2 * len(suffix)
+        cold = cold_outcome(ReductionSequence(word, steps), ReductionSequence(word, suffix))
+        assert tail == tuple(Move(move.kind, move.at + j) for move in cold)
+    # equal states, suffixes and tails of different entries are one object
+    parts = [part for key, tail in tails.items() for part in (*key, tail)]
+    assert len(set(map(id, parts))) == len(set(parts)) < len(parts) / 4
 
 
 def test_transform_to_second_call_resumes_past_the_shared_levels(monkeypatch):
@@ -431,6 +450,113 @@ def test_transform_to_from_two_threads_matches_cold_calls():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == expected
+
+
+# The table of tails is shared by every start of one word, so calls from
+# a start meet tails that other starts stored, in whatever order.
+
+SHARED_WORDS = [MEMO_WORDS[2], w(" ".join(["a a'"] * 4))]  # 180 and 105 sequences
+SHARED_NODES = [enumerate_sequences(word) for word in SHARED_WORDS]
+
+
+def start_major(nodes):
+    return [(r, s) for r in nodes for s in nodes]
+
+
+def shuffled_start_major(nodes, seed):
+    # starts and each start's targets in a seeded order, so a call
+    # resumes after prefixes of any length and meets the table there
+    rng = random.Random(seed)
+    starts = rng.sample(nodes, len(nodes))
+    return [(r, s) for r in starts for s in rng.sample(nodes, len(nodes))]
+
+
+def switched_halfway(first, second):
+    # half the pairs of the first word, all of the second, the rest of
+    # the first
+    half = len(first) // 2
+    return first[:half] + second + first[half:]
+
+
+@pytest.mark.parametrize("order", ["start-major", "shuffled", "switched"])
+def test_transform_to_sharing_tails_across_starts_matches_cold_calls(order):
+    if order == "start-major":
+        runs = [start_major(nodes) for nodes in SHARED_NODES]
+    elif order == "shuffled":
+        runs = [shuffled_start_major(nodes, 2026 + i) for i, nodes in enumerate(SHARED_NODES)]
+    else:
+        runs = [switched_halfway(*[start_major(nodes) for nodes in SHARED_NODES])]
+    for calls in runs:
+        transform._memo = None
+        warm = [outcome(r, s) for r, s in calls]
+        assert transform._memo[4]  # resumed calls did share tails
+        assert warm == [cold_outcome(r, s) for r, s in calls]
+
+
+def test_transform_to_drops_the_table_when_the_word_changes():
+    first, second = SHARED_NODES
+    transform._memo = None
+    for r, s in start_major(first)[:400]:
+        transform_to(r, s)
+    tails = transform._memo[4]
+    assert tails
+    transform_to(second[0], second[1])
+    assert transform._memo[4] == {}
+    transform_to(second[0], second[2])  # resumed on the new word
+    assert transform._memo[4] is not tails
+    assert all(len(word) <= len(second[0].word) - 4 for (word, _), _ in transform._memo[4])
+
+
+def test_transform_to_target_with_a_bad_middle_step_stores_nothing(monkeypatch):
+    # resumed after the first level, so levels 1 and 2 are computed
+    # before the step at level 3, which is off the word or not a redex,
+    # or a redex that leaves the later steps off or short
+    nodes = SHARED_NODES[0]
+    transform._memo = None
+    for r, s in start_major(nodes)[:len(nodes) + 40]:
+        transform_to(r, s)
+    memo = transform._memo
+    r, previous = memo[0], memo[1]
+    other = next(s.steps for s in nodes
+                 if s.steps[0] == previous[0] and s.steps[1] != previous[1])
+    lifts = []
+    original_front = transform._front
+
+    def counting_front(word, steps, p, lift):
+        lifts.append(lift)
+        return original_front(word, steps, p, lift)
+
+    monkeypatch.setattr(transform, "_front", counting_front)
+    failed = 0
+    for bad in range(-1, len(r.word) - 4):
+        target = ReductionSequence(r.word, other[:3] + (bad,) + other[4:])
+        transform._memo = memo
+        entries = dict(memo[4]), dict(memo[5])
+        del lifts[:]
+        got = outcome(r, target)
+        if got and isinstance(got[0], type):
+            failed += 1
+            assert lifts[:3] == [1, 2, 3]
+            assert transform._memo is memo
+            assert (memo[4], memo[5]) == entries
+        assert got == cold_outcome(r, target)
+    assert failed >= len(r.word) - 6
+
+
+def test_transform_to_from_a_fresh_start_stores_nothing():
+    # the fresh calls of library use: one pair at a time on a long word
+    rng = random.Random(40)
+    word = random_reducible_word(("a", "b", "c"), 40, rng)
+    pairs = [(random_sequence(word, rng), random_sequence(word, rng)) for _ in range(3)]
+    transform._memo = None
+    for r, s in start_major(MEMO_NODES[0]):
+        transform_to(r, s)
+    assert transform._memo[4]
+    for r, s in pairs:
+        chain = transform_to(r, s)
+        assert apply_chain(r, chain) == s
+        assert transform._memo[4] == {}
+        assert len(transform._memo[3]) == 41
 
 
 # One start contract: a hand-built start raises what validate_sequence
