@@ -15,6 +15,7 @@ nodes; a larger graph has PAIR_SAMPLES pairs drawn at random.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 import random
 from dataclasses import dataclass, field
 
@@ -188,82 +189,97 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
 
     Every ordered pair is checked when the graph has at most
     PAIR_THRESHOLD nodes; beyond that, PAIR_SAMPLES pairs are drawn from
-    rng (default Random(0)).  A transform_to that raises is a failure too.
+    rng (default Random(0)).  A transform_to that raises is a failure too,
+    reported by its message, after its type unless it is a FreewordError.
     Each pair must replay from start to target through known nodes
     within the k(k-1)/2 length bound, and the target must also be
     reachable by single moves.  Its BFS distance is reported alongside
     the chain length for comparison.  Exhaustive pairs read it from one
     breadth-first search per start, which expands each node once.  A
-    sampled pair gets it from a search that meets in the middle,
-    forward from the start and backward from the target.
+    sampled pair gets it from a search that meets in the middle, forward
+    from the start and backward from the target.
     """
     word = graph.word
     nodes = graph.nodes
     report = TransformReport(word)
     k = len(word) // 2
     bound = k * (k - 1) // 2
-    sequence = {node: ReductionSequence(word, node) for node in nodes}
+    index = {node: i for i, node in enumerate(nodes)}
+    sequences = [ReductionSequence(word, node) for node in nodes]
     predecessors = None
     if len(nodes) <= PAIR_THRESHOLD:
-        runs = [(start, nodes) for start in nodes]
+        runs = [(i, range(len(nodes))) for i in range(len(nodes))]
     else:
         rng = rng or random.Random(0)
-        runs = [(rng.choice(nodes), (rng.choice(nodes),)) for _ in range(PAIR_SAMPLES)]
+        runs = [(index[rng.choice(nodes)], (index[rng.choice(nodes)],))
+                for _ in range(PAIR_SAMPLES)]
         # from the adjacency itself, since a faulty move can make an
         # edge one-way or lead it out of the node set
         predecessors = {}
         for node, others in graph.adjacency.items():
             for other in others:
                 predecessors.setdefault(other, []).append(node)
-    # moved[steps, move] is the known node that move turns steps into.
-    # apply_move is pure and the graph has one word, so a move met again,
-    # from any start, is looked up; a move that raises or leaves the
-    # node set is not stored, so it fails again on every chain holding it.
-    moved: dict[tuple[Steps, Move], ReductionSequence] = {}
+    # moved[i][move] is the index of the node that move turns node i into;
+    # apply_move is pure, so a move met again, from any start, is looked
+    # up.  A move that raises or leaves the node set is not stored, so it
+    # fails again on every chain holding it.  Tables hold indices, not each
+    # other, since moves are reversible and tables would form cycles.
+    moved: defaultdict[int, dict[Move, int]] = defaultdict(dict)
+    report.pair_count = sum(len(targets) for _, targets in runs)
+    longest = farthest = 0
 
-    def fail(start, target, move_index, reason):
-        report.failures.append(TransformFailure(word, start, target, move_index, reason))
+    def fail(i, j, move_index, reason):
+        report.failures.append(TransformFailure(word, nodes[i], nodes[j], move_index, reason))
 
-    for start, targets in runs:
-        r = sequence[start]
-        dist = _distances(graph.adjacency, start) if predecessors is None else None
-        for target in targets:
-            report.pair_count += 1
+    for i, targets in runs:
+        r = sequences[i]
+        dist = _distances(graph.adjacency, nodes[i]) if predecessors is None else None
+        for j in targets:
             try:
-                chain = transform_to(r, sequence[target])
+                chain = transform_to(r, sequences[j])
             except FreewordError as err:
                 # on two graph nodes it raises only through a defect
-                fail(start, target, None, str(err))
+                fail(i, j, None, str(err))
                 continue
-            report.max_chain_length = max(report.max_chain_length, len(chain))
-            if len(chain) > bound:
-                fail(start, target, None, f"chain length {len(chain)} exceeds bound {bound}")
-            current = r
-            for idx, move in enumerate(chain):
-                key = (current.steps, move)
-                result = moved.get(key)
-                if result is None:
+            except Exception as err:
+                # a defect outside the error hierarchy: one pair's failure,
+                # not the end of the sweep
+                fail(i, j, None, f"{type(err).__name__}: {err}")
+                continue
+            length = len(chain)
+            if length > longest:
+                longest = length
+            if length > bound:
+                fail(i, j, None, f"chain length {length} exceeds bound {bound}")
+            at = i
+            for move_index, move in enumerate(chain):
+                table = moved[at]
+                after = table.get(move)
+                if after is None:
                     try:
-                        result = apply_move(current, move)
+                        result = apply_move(sequences[at], move)
                     except FreewordError as err:
-                        fail(start, target, idx, str(err))
+                        fail(i, j, move_index, str(err))
                         break
-                    if result.steps not in sequence:
-                        fail(start, target, idx, "intermediate sequence is not a known node")
+                    after = index.get(result.steps)
+                    if after is None:
+                        fail(i, j, move_index, "intermediate sequence is not a known node")
                         break
-                    moved[key] = result
-                current = result
+                    table[move] = after
+                at = after
             else:
-                if current.steps != target:
-                    fail(start, target, None, "chain does not replay to the target")
+                if at != j:
+                    fail(i, j, None, "chain does not replay to the target")
             if dist is None:
-                distance = _distance(graph.adjacency, predecessors, start, target)
+                distance = _distance(graph.adjacency, predecessors, nodes[i], nodes[j])
             else:
-                distance = dist.get(target)
+                distance = dist.get(nodes[j])
             if distance is None:
-                fail(start, target, None, "target unreachable by single moves")
-            else:
-                report.max_bfs_distance = max(report.max_bfs_distance, distance)
+                fail(i, j, None, "target unreachable by single moves")
+            elif distance > farthest:
+                farthest = distance
+    report.max_chain_length = longest
+    report.max_bfs_distance = farthest
     return report
 
 

@@ -75,24 +75,17 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
     return tuple(moves), ReductionSequence(r.word, tuple(steps))
 
 
-# The previous successful transform_to call, published by one assignment:
-# (start, target steps, chain, levels, tails, shared).  levels[j] is
-# (steps, word, chain length) after j levels, up to the last level the
-# call reached, so a next call from the same start can resume.  tails is
-# the table of one word: it maps the sub-problem ((word, steps),
-# target[j:]) after j levels to the rest of the chain, its moves lifted
-# by j.  Only a call resuming from the previous start consults it, at the
-# level it resumes from and at each level it computes, and only such a
-# call that succeeds adds the levels it computed: at most one entry per
-# _front call since the word last changed.  Level 0, whose tail is the
-# whole chain of one pair, and the last level, which makes no moves, are
-# neither looked up nor stored.  shared keeps one object per distinct
-# state, suffix and tail of the table.  These are pairs of tuples, tuples
-# of ints and tuples of moves, so no two kinds are equal but (), which is
-# one object anyway.  A fresh start keeps both while the word stays the
-# same and drops them for another word.  Every other part is never
-# mutated.  Keys and values are tuples, and a value is a pure function of
-# its key, so racing threads store equal values.
+# transform_to's memo, published by one assignment: None when cold, else
+# (start, root, graph) for the last successful call.  graph maps each
+# state of one word, the word left after j levels and the fronted steps,
+# to its node.  A node maps None to its state and a next target step p to
+# the edge (that level's moves lifted by j, the next node).  A state with
+# m steps is reached only at level k - m, so its lift is fixed; edges lead
+# to shorter words, so nodes form no cycle.  root is start's own node, not
+# in graph, or None until a call from start walks.  A call stores its new
+# nodes and edges only once it has succeeded.  An edge is a pure function
+# of its node's state and p, so threads racing on a node store equal
+# moves, and a state two threads create at once gets two equivalent nodes.
 _memo: tuple | None = None
 
 
@@ -112,20 +105,14 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
     that is not a redex raises InvalidRedex, and steps of s that stop
     early raise IncompleteReduction.
 
-    The state after level j depends only on r and the first j steps of
-    s, so one slot keeps the previous successful call, with a snapshot
-    after every level it reached.  A call from the same start resumes
-    after the deepest level its target shares with the stored target,
-    keeping the chain up to there.  The rest of the chain from level j
-    depends only on the word and steps after j levels and on target[j:],
-    so the slot also holds a table of such tails for the current word,
-    keyed by ((word, steps), target[j:]) and shared by all starts.  A
-    resumed call looks up each level before computing it, but the first
-    and the last, and on a hit appends the stored tail and stops; a call
-    from a new start neither reads nor fills the table.  Entries are
-    immutable and each is a pure function of its key, so threads racing
-    on the table store equal values.  Results and errors are those of a
-    call from scratch.
+    After level j the chain depends only on the state, the word left and
+    the fronted steps, and on target[j:], so the memo keeps one graph of
+    states per word, shared by all its starts.  A call from a new start
+    computes every level and stores nothing.  A call from the previous
+    call's start walks the graph with one lookup keyed by a step per
+    level, fronts only where an edge is missing, and stores those edges.
+    The graph is dropped at the next call on another word.  Results and
+    errors are those of a call from scratch.
     """
     global _memo
     if r.word != s.word:
@@ -134,48 +121,44 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
         )
     target = s.steps
     memo = _memo
-    resumed = memo is not None and memo[0] == r
-    if resumed:
-        # the same start was validated by a call that completed
-        _, previous, old_chain, levels, tails, shared = memo
-    else:
+    if memo is None or memo[0] != r:
         validate_sequence(r.word, r.steps)
-        previous, old_chain, levels = (), (), [(r.steps, r.word, 0)]
-        same_word = memo is not None and memo[4] and memo[0].word == r.word
-        tails, shared = memo[4:] if same_word else ({}, {})
-    start = 0
-    limit = min(len(target), len(previous), len(levels) - 1)
-    while start < limit and target[start] == previous[start]:
-        start += 1
-    levels = levels[:start + 1]  # a copy: published levels never change
-    kept, word, length = levels[start]
-    steps, chain = list(kept), list(old_chain[:length])
-    for level in range(start, len(target)):
-        if resumed and level and len(steps) > 1:
-            tail = tails.get(((word, kept), target[level:]))
-            if tail is not None:
-                # stored by a call that completed, so this one completes
-                chain += tail
-                break
-        p = target[level]
-        chain += _front(word, steps, p, level)
-        word = word[:p] + word[p + 2:]
-        del steps[0]
-        kept = tuple(steps)
-        levels.append((kept, word, len(chain)))
-    else:
+        word, steps, chain = r.word, list(r.steps), []
+        for level, p in enumerate(target):
+            chain += _front(word, steps, p, level)
+            word = word[:p] + word[p + 2:]
+            del steps[0]
         if word:
             raise IncompleteReduction(word)
-    result = tuple(chain)
-    if resumed:
-        for level in range(start, len(levels) - 1):
-            kept, word, length = levels[level]
-            if level and len(kept) > 1:
-                state, suffix, tail = (word, kept), target[level:], result[length:]
-                key = (shared.setdefault(state, state), shared.setdefault(suffix, suffix))
-                tails[key] = shared.setdefault(tail, tail)
-    _memo = (r, target, result, levels, tails, shared)
-    return result
+        same_word = memo is not None and memo[0].word == r.word
+        _memo = (r, None, memo[2] if same_word else {})
+        return tuple(chain)
+    # the same start was validated by a call that completed
+    _, root, graph = memo
+    node = root = {None: (r.word, r.steps)} if root is None else root
+    chain, new = [], []  # new: the (table, key, value) stores to commit
+    for level, p in enumerate(target):
+        edge = node.get(p)
+        if edge is None:
+            word, kept = node[None]
+            steps = list(kept)
+            moves = tuple(_front(word, steps, p, level))
+            state = (word[:p] + word[p + 2:], tuple(steps[1:]))
+            after = graph.get(state)
+            if after is None:
+                after = {None: state}
+                new.append((graph, state, after))
+            edge = (moves, after)
+            new.append((node, p, edge))
+        moves, node = edge
+        chain += moves
+    word = node[None][0]
+    if word:
+        raise IncompleteReduction(word)
+    for table, key, value in new:
+        table[key] = value
+    _memo = (r, root, graph)
+    return tuple(chain)
 
 
 def extend_reduction(

@@ -567,17 +567,24 @@ def test_cli_outputs_are_pinned(capsys, monkeypatch):
 
 
 def test_check_reports_a_transform_to_that_raises(capsys, monkeypatch):
-    # used to exit 2, the code for bad input, on a defect of the program
-    def raising(r, s):
-        if s.steps == (2, 0):
-            raise NotIndependent(0, 1, 0)
-        return transform_to(r, s)
+    # a FreewordError used to exit 2, the code for bad input, on a defect
+    # of the program, and any other error to end in a traceback; neither
+    # ends the sweep, and only the second is named by its type
+    cases = [
+        (NotIndependent(0, 1, 0), "steps 0 and 1 are nested"),
+        (IndexError("tuple index out of range"), "IndexError: tuple index out of range"),
+    ]
+    for error, reason in cases:
+        def raising(r, s):
+            if s.steps == (2, 0):
+                raise error
+            return transform_to(r, s)
 
-    monkeypatch.setattr(oracle, "transform_to", raising)
-    code, out, err = run(capsys, *SEEDED_ARGV)
-    assert code == 1
-    assert err == ""
-    assert "transform failure: a a' a a' 0,0 -> 2,0: steps 0 and 1 are nested" in out
+        monkeypatch.setattr(oracle, "transform_to", raising)
+        code, out, err = run(capsys, *SEEDED_ARGV)
+        assert code == 1
+        assert err == ""
+        assert f"transform failure: a a' a a' 0,0 -> 2,0: {reason}" in out
 
 
 # Exit-code contract: whatever the argv, main ends in 0, 1 or 2 (argparse

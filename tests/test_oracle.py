@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -368,8 +369,8 @@ SEEDED_DEFECTS = [
 
 
 def patch_with_cold_memo(monkeypatch, module, name, value):
-    # transform_to's memo may hold levels of an earlier call: start cold,
-    # and restore it afterwards so no patched level outlives the test
+    # transform_to's memo may hold edges of earlier calls: start cold,
+    # and restore it afterwards so no patched edge outlives the test
     monkeypatch.setattr(transform, "_memo", None)
     monkeypatch.setattr(module, name, value)
 
@@ -523,12 +524,11 @@ def test_check_pairs_applies_each_move_once_per_node(monkeypatch):
 
 def reference_front_count(word, nodes):
     # transform_to's rule over check_pairs' order, on a model of its
-    # states: a fresh start computes every level and stores nothing; a
-    # call from the previous start resumes after the prefix its target
-    # shares with the previous target, as deep as that call went, and
-    # stops at the first level whose sub-problem it finds in the table;
-    # if it succeeds, it stores the levels it computed.  Level 0 and the
-    # last level are neither looked up nor stored.
+    # states: the first call from a start fronts every level and stores
+    # nothing; each later call from it fronts once per (state, step) edge
+    # that no such call met before.  A state is the word and the fronted
+    # steps after some levels; a start's own state is its alone, and
+    # every deeper state is shared by all starts of the word.
     k = len(word) // 2
     states = {}
 
@@ -542,28 +542,13 @@ def reference_front_count(word, nodes):
             states[start, prefix] = apply_step(before, prefix[-1]), fronted.steps[1:]
         return states[start, prefix]
 
-    table = set()
-    fronts = 0
+    edges = set()
     for start in nodes:
-        previous = None
-        for target in nodes:
-            level = 0
-            if previous is not None:
-                while level < reached and target[level] == previous[level]:
-                    level += 1
-            computed = []
-            while level < k:
-                key = (state(start, target[:level]), target[level:])
-                if previous is not None and 0 < level < k - 1:
-                    if key in table:
-                        break
-                    computed.append(key)
-                fronts += 1
-                level += 1
-            if previous is not None:
-                table.update(computed)
-            previous, reached = target, level
-    return fronts, len(table)
+        for target in nodes[1:]:
+            edges.update((state(start, target[:level]), target[level]) for level in range(k))
+    deeper = {state(start, target[:level]) for start in nodes for target in nodes[1:]
+              for level in range(1, k + 1)}
+    return k * len(nodes) + len(edges), len(deeper)
 
 
 def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
@@ -576,14 +561,15 @@ def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
 
     patch_with_cold_memo(monkeypatch, transform, "_front", counting_front)
     assert check_pairs(graph).ok
-    table = transform._memo[4]
+    states = transform._memo[2]
     monkeypatch.setattr(transform, "_front", ORIGINAL_FRONT)
-    # the table holds at most one entry per _front call since the word
-    # changed, and its tails spare nearly every level that resuming from
-    # the previous target alone recomputed: 96,840 _front calls
-    fronts, entries = reference_front_count(graph.word, graph.nodes)
-    assert len(calls) == fronts <= 6000
-    assert len(table) == entries <= fronts
+    # one _front call per level of each start's first pair, and one per
+    # edge of the graph of states: 96,840 calls when resuming from the
+    # previous target alone, and 5,175 with a table of tails keyed by the
+    # whole rest of the target
+    fronts, deeper = reference_front_count(graph.word, graph.nodes)
+    assert len(calls) == fronts == 3042
+    assert len(states) == deeper
 
 
 def test_check_pairs_table_memory_is_bounded(monkeypatch):
@@ -598,6 +584,30 @@ def test_check_pairs_table_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_check_pairs_leaves_no_reference_cycles(monkeypatch):
+    # with the cyclic collector off, reference counts alone free what the
+    # pair check built once transform_to drops its graph for another
+    # word.  Objects freed into the interpreter's free lists stay traced,
+    # so a first round fills them and the second is measured; replay
+    # tables that held each other would leave about 135 KiB a round
+    graph = build_move_graph(w(SWEEP_WORD))
+    other = enumerate_sequences(w("a a' b b'"))
+    monkeypatch.setattr(transform, "_memo", None)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        levels = []
+        for _ in range(2):
+            assert check_pairs(graph).ok
+            transform_to(other[0], other[1])
+            levels.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert levels[1] - levels[0] < 2**14
 
 
 # One-letter 12-letter words of the graph-large kind: the first has

@@ -294,8 +294,8 @@ def test_chains_for_long_words_are_pinned():
     assert digest.hexdigest() == GOLDEN_LONG_SHA256
 
 
-# transform_to keeps the levels of its previous call from the same
-# start; every call must return, or raise, what a call from scratch does.
+# transform_to keeps a graph of the sub-problems of one word; every call
+# must return, or raise, what a call from scratch does.
 
 MEMO_WORDS = [w(text) for text in (
     "a a' b b' c c'", "a a' a a' a a'", "b b' b b' c c' a b c c' b' a'",
@@ -356,6 +356,30 @@ def test_transform_to_with_the_memo_matches_cold_calls(calls):
     assert warm == [cold_outcome(r, s) for r, s in calls]
 
 
+def stored_edges(memo):
+    # every edge of the memo, the root's included, keyed by (state, p),
+    # with its moves and the identity of its next node
+    _, root, graph = memo
+    nodes = [*graph.values()] + ([] if root is None else [root])
+    return {
+        (node[None], p): (edge[0], id(edge[1]))
+        for node in nodes for p, edge in node.items() if p is not None
+    }
+
+
+def count_fronts(monkeypatch):
+    # the lift of every _front call from now on, in call order
+    lifts = []
+    original_front = transform._front
+
+    def counting_front(word, steps, p, lift):
+        lifts.append(lift)
+        return original_front(word, steps, p, lift)
+
+    monkeypatch.setattr(transform, "_front", counting_front)
+    return lifts
+
+
 def test_transform_to_memo_holds_one_call_of_immutable_values():
     transform._memo = None
     nodes = MEMO_NODES[2]
@@ -363,39 +387,52 @@ def test_transform_to_memo_holds_one_call_of_immutable_values():
     r = nodes[5]
     for s in nodes[:3]:
         chain = transform_to(r, s)
-    start, target, stored, levels, tails, shared = transform._memo
-    assert (start, target, stored) == (r, nodes[2].steps, chain)
-    # the caller's chain and every snapshot, one per level reached, are tuples
+    start, root, graph = transform._memo
+    assert start == r and root[None] == (r.word, r.steps)
     assert type(chain) is tuple
-    assert 0 < len(levels) <= k + 1
-    assert all(type(kept) is tuple and type(word) is tuple for kept, word, _ in levels)
-    # a new start of the same word keeps every level and the same table
+    # a new start of the same word keeps the graph and has no root yet
     transform_to(nodes[6], nodes[0])
-    assert len(transform._memo[3]) == k + 1
-    assert transform._memo[4] is tails and transform._memo[5] is shared
-    # every ordered pair fills the table; each entry is a tuple, and its
-    # tail is the cold chain of its sub-problem with every at raised by j
+    assert transform._memo[1:] == (None, graph) and transform._memo[2] is graph
+    # every ordered pair fills the graph; a node per state, each state a
+    # pair of tuples, and each edge the tuple of moves that fronting p
+    # makes on its state, every at raised by j, leading to the node of
+    # the state that fronting leaves
     for r in nodes:
         for s in nodes:
             transform_to(r, s)
-    tails = transform._memo[4]
-    assert len(tails) > 100
-    for key, tail in list(tails.items()):
-        (word, steps), suffix = key
-        assert all(type(part) is tuple for part in (key, key[0], word, steps, suffix, tail))
+    graph = transform._memo[2]
+    assert len(graph) > 100
+    for state, node in graph.items():
+        assert node[None] == state
+        word, steps = state
+        assert type(word) is tuple and type(steps) is tuple
         j = k - len(steps)
-        assert 0 < j < k - 1  # neither level 0 nor the last level is stored
-        assert len(word) == 2 * len(steps) == 2 * len(suffix)
-        cold = cold_outcome(ReductionSequence(word, steps), ReductionSequence(word, suffix))
-        assert tail == tuple(Move(move.kind, move.at + j) for move in cold)
-    # equal states, suffixes and tails of different entries are one object
-    parts = [part for key, tail in tails.items() for part in (*key, tail)]
-    assert len(set(map(id, parts))) == len(set(parts)) < len(parts) / 4
+        assert 0 < j <= k and len(word) == 2 * len(steps)  # no start is in graph
+        for p in node.keys() - {None}:
+            moves, after = node[p]
+            cold, fronted = front_reduction(ReductionSequence(word, steps), p)
+            assert type(moves) is tuple
+            assert moves == tuple(Move(move.kind, move.at + j) for move in cold)
+            assert after is graph[apply_step(word, p), fronted.steps[1:]]
+
+
+def states_along(r, target):
+    # the state after each level of transform_to(r, target): the word
+    # left and the fronted steps
+    word, steps = r.word, r.steps
+    states = [(word, steps)]
+    for p in target:
+        _, fronted = front_reduction(ReductionSequence(word, steps), p)
+        word, steps = apply_step(word, p), fronted.steps[1:]
+        states.append((word, steps))
+    return states
 
 
 def test_transform_to_second_call_resumes_past_the_shared_levels(monkeypatch):
-    # the first call from a start already keeps its levels, so the second
-    # call fronts only the levels past the prefix the two targets share
+    # a new start fronts every level and stores nothing, the next call
+    # from it stores every level it fronts, so the second target fronts
+    # only past the prefix it shares with the first, until it reaches a
+    # state the first one stored
     nodes = MEMO_NODES[2]
     k = len(nodes[0].steps)
     r, first, second = nodes[5], nodes[0], nodes[1]
@@ -403,19 +440,19 @@ def test_transform_to_second_call_resumes_past_the_shared_levels(monkeypatch):
     while first.steps[shared] == second.steps[shared]:
         shared += 1
     assert 0 < shared < k
-    calls = []
-    original_front = transform._front
-
-    def counting_front(word, steps, p, lift):
-        calls.append(lift)
-        return original_front(word, steps, p, lift)
-
+    stored = set(states_along(r, first.steps)[1:])
+    along = states_along(r, second.steps)
+    rejoin = next(j for j in range(shared + 1, k + 1) if along[j] in stored)
+    assert rejoin < k
     monkeypatch.setattr(transform, "_memo", None)
-    monkeypatch.setattr(transform, "_front", counting_front)
-    transform_to(r, first)
+    calls = count_fronts(monkeypatch)
+    for _ in range(2):
+        del calls[:]
+        transform_to(r, first)
+        assert calls == list(range(k))
     del calls[:]
     chain = transform_to(r, second)
-    assert calls == list(range(shared, k))
+    assert calls == list(range(shared, rejoin))
     assert chain == cold_outcome(r, second)
 
 
@@ -452,8 +489,8 @@ def test_transform_to_from_two_threads_matches_cold_calls():
     assert results == expected
 
 
-# The table of tails is shared by every start of one word, so calls from
-# a start meet tails that other starts stored, in whatever order.
+# The graph is shared by every start of one word, so calls from a start
+# meet states that other starts stored, in whatever order.
 
 SHARED_WORDS = [MEMO_WORDS[2], w(" ".join(["a a'"] * 4))]  # 180 and 105 sequences
 SHARED_NODES = [enumerate_sequences(word) for word in SHARED_WORDS]
@@ -464,8 +501,8 @@ def start_major(nodes):
 
 
 def shuffled_start_major(nodes, seed):
-    # starts and each start's targets in a seeded order, so a call
-    # resumes after prefixes of any length and meets the table there
+    # starts and each start's targets in a seeded order, so a call walks
+    # prefixes of any length and meets other starts' states past them
     rng = random.Random(seed)
     starts = rng.sample(nodes, len(nodes))
     return [(r, s) for r in starts for s in rng.sample(nodes, len(nodes))]
@@ -489,7 +526,7 @@ def test_transform_to_sharing_tails_across_starts_matches_cold_calls(order):
     for calls in runs:
         transform._memo = None
         warm = [outcome(r, s) for r, s in calls]
-        assert transform._memo[4]  # resumed calls did share tails
+        assert transform._memo[2]  # calls from a start did walk the graph
         assert warm == [cold_outcome(r, s) for r, s in calls]
 
 
@@ -498,65 +535,71 @@ def test_transform_to_drops_the_table_when_the_word_changes():
     transform._memo = None
     for r, s in start_major(first)[:400]:
         transform_to(r, s)
-    tails = transform._memo[4]
-    assert tails
-    transform_to(second[0], second[1])
-    assert transform._memo[4] == {}
-    transform_to(second[0], second[2])  # resumed on the new word
-    assert transform._memo[4] is not tails
-    assert all(len(word) <= len(second[0].word) - 4 for (word, _), _ in transform._memo[4])
+    graph = transform._memo[2]
+    assert graph
+    transform_to(second[0], second[1])  # a new start on another word
+    assert transform._memo[1:] == (None, {})
+    transform_to(second[0], second[2])  # walks the new word's graph
+    assert transform._memo[2] is not graph
+    # one state per level past the first, each of the new word
+    assert sorted(len(word) for word, _ in transform._memo[2]) == [0, 2, 4, 6]
 
 
 def test_transform_to_target_with_a_bad_middle_step_stores_nothing(monkeypatch):
-    # resumed after the first level, so levels 1 and 2 are computed
-    # before the step at level 3, which is off the word or not a redex,
-    # or a redex that leaves the later steps off or short
+    # the root of the memo's start lacks the target's first step, so the
+    # call fronts level 0 before the step at level 3, which is off the
+    # word or not a redex, or a redex that leaves the later steps off or
+    # short; the failing targets run first, since a target that succeeds
+    # stores the levels they share
     nodes = SHARED_NODES[0]
     transform._memo = None
     for r, s in start_major(nodes)[:len(nodes) + 40]:
         transform_to(r, s)
     memo = transform._memo
-    r, previous = memo[0], memo[1]
-    other = next(s.steps for s in nodes
-                 if s.steps[0] == previous[0] and s.steps[1] != previous[1])
-    lifts = []
-    original_front = transform._front
+    r, root = memo[:2]
+    other = next(s.steps for s in nodes if s.steps[0] not in root)
+    targets = [
+        ReductionSequence(r.word, other[:3] + (bad,) + other[4:])
+        for bad in range(-1, len(r.word) - 4)
+    ]
+    expected = {target: cold_outcome(r, target) for target in targets}
 
-    def counting_front(word, steps, p, lift):
-        lifts.append(lift)
-        return original_front(word, steps, p, lift)
+    def raises(got):
+        return bool(got) and isinstance(got[0], type)
 
-    monkeypatch.setattr(transform, "_front", counting_front)
+    lifts = count_fronts(monkeypatch)
+    edges, states = stored_edges(memo), dict(memo[2])
     failed = 0
-    for bad in range(-1, len(r.word) - 4):
-        target = ReductionSequence(r.word, other[:3] + (bad,) + other[4:])
+    for target in sorted(targets, key=lambda target: not raises(expected[target])):
         transform._memo = memo
-        entries = dict(memo[4]), dict(memo[5])
         del lifts[:]
         got = outcome(r, target)
-        if got and isinstance(got[0], type):
+        if raises(got):
             failed += 1
-            assert lifts[:3] == [1, 2, 3]
+            assert lifts[0] == 0
             assert transform._memo is memo
-            assert (memo[4], memo[5]) == entries
-        assert got == cold_outcome(r, target)
+            assert stored_edges(memo) == edges and memo[2] == states
+        assert got == expected[target]
     assert failed >= len(r.word) - 6
 
 
-def test_transform_to_from_a_fresh_start_stores_nothing():
-    # the fresh calls of library use: one pair at a time on a long word
+def test_transform_to_from_a_fresh_start_stores_nothing(monkeypatch):
+    # the fresh calls of library use: one pair at a time on a long word,
+    # every level fronted once, and no graph, root or snapshot kept
     rng = random.Random(40)
     word = random_reducible_word(("a", "b", "c"), 40, rng)
     pairs = [(random_sequence(word, rng), random_sequence(word, rng)) for _ in range(3)]
     transform._memo = None
     for r, s in start_major(MEMO_NODES[0]):
         transform_to(r, s)
-    assert transform._memo[4]
+    assert transform._memo[2]
+    lifts = count_fronts(monkeypatch)
     for r, s in pairs:
+        del lifts[:]
         chain = transform_to(r, s)
         assert apply_chain(r, chain) == s
-        assert transform._memo[4] == {}
-        assert len(transform._memo[3]) == 41
+        assert lifts == list(range(40))
+        assert transform._memo == (r, None, {})
 
 
 # One start contract: a hand-built start raises what validate_sequence
