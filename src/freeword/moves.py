@@ -19,7 +19,7 @@ index edited; chains are comma separated.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Word
 from .errors import (
@@ -145,26 +145,36 @@ def applicable_moves(r: ReductionSequence) -> list[tuple[Move, ReductionSequence
     Deterministic order: by step index, swap then ovl then ovr.  The
     one-node case of neighbour_maps.
     """
-    return [(move, ReductionSequence(r.word, steps))
-            for steps, move in neighbour_maps([r])[r.steps].items()]
+    index = {r.steps: 0}
+    neighbours = neighbour_maps([r], index)[0]
+    steps_of = list(index)
+    return [(move, ReductionSequence(r.word, steps_of[j])) for j, move in neighbours.items()]
 
 
-def neighbour_maps(sequences: Iterable[ReductionSequence]) -> dict[Steps, dict[Steps, Move]]:
-    """{steps: {neighbour steps: the move reaching it}} for sequences
-    of one word, each map in applicable_moves order.  Distinct moves
-    from a reduction reach distinct neighbours, so no move is dropped.
-    Sequences of different words raise WordMismatch.
+def neighbour_maps(
+    sequences: Sequence[ReductionSequence], index: dict[Steps, int]
+) -> dict[int, dict[int, Move]]:
+    """{i: {j: the move reaching j}} for sequences of one word, each map
+    in applicable_moves order, where i and j are numbers from index.
+    index must number the sequences' steps 0, 1, ... in order.  A
+    neighbour missing from it, which only a faulty move reaches, is
+    added with the next free number and gets an empty map, so every
+    number in a map has an entry.  Distinct moves from a reduction reach
+    distinct neighbours, so no move is dropped.  Sequences of different
+    words raise WordMismatch.
 
     One pass: the trace of the current sequence is kept, and only the
     words past the steps it shares with the previous sequence are
     walked again, each step checked as run_sequence checks it.
     Sequences in lexicographic order, as enumeration yields them, share
-    most of their steps.  Each Move is built once.
+    most of their steps.  Each Move is built once, and each neighbour's
+    steps are hashed once, into index.
     """
-    maps: dict[Steps, dict[Steps, Move]] = {}
+    maps: dict[int, dict[int, Move]] = {}
     trace: list[Word] = []  # trace[j]: the word before step j of the last sequence
     last: Steps = ()
     table: list[tuple[Move, list[tuple[Move, str]]]] = []  # the moves at each step index
+    number = index.setdefault
     for seq in sequences:
         steps = seq.steps
         if not trace:
@@ -185,15 +195,17 @@ def neighbour_maps(sequences: Iterable[ReductionSequence]) -> dict[Steps, dict[S
             (Move(SWAP, i), [(Move(kind, i), side) for kind, side in _DIRECTION_OF.items()])
             for i in range(len(table), k)
         )
-        neighbours = maps[steps] = {}
+        neighbours = maps[len(maps)] = {}
         for i, p in enumerate(steps):
             swap_move, switches = table[i]
             if i + 1 < k and steps[i + 1] != p - 1:
-                neighbours[swap(seq, i).steps] = swap_move
+                neighbours[number(swap(seq, i).steps, len(index))] = swap_move
             for move, direction in switches:
                 target = _overlap_target(trace[i], p, direction)
                 if target is not None:
-                    neighbours[steps[:i] + (target,) + steps[i + 1:]] = move
+                    neighbours[number(steps[:i] + (target,) + steps[i + 1:], len(index))] = move
+    for j in range(len(maps), len(index)):
+        maps[j] = {}
     return maps
 
 

@@ -74,72 +74,88 @@ def enumerate_sequences(w: Word, cap: int = DEFAULT_CAP) -> list[ReductionSequen
 class MoveGraph:
     """All reduction sequences of one word, joined by single moves.
 
-    nodes are the step tuples in enumeration order; adjacency maps each
-    node to {neighbour: the move reaching it}, in applicable_moves
-    order.  No two moves from a node reach one neighbour, so no edge is
-    dropped, and a search iterates an entry as the node's neighbours.
-    Every edge comes with its reverse: swaps are self-inverse and the
-    two overlap directions undo each other.
+    nodes are the step tuples in enumeration order, and index numbers
+    each node by its position there.  adjacency maps each node's number
+    i to {j: the move reaching node j}, in applicable_moves order, so a
+    search runs over ints and never hashes a step tuple.  No two moves
+    from a node reach one neighbour, so no edge is dropped.  Every edge
+    comes with its reverse: swaps are self-inverse and the two overlap
+    directions undo each other.  A neighbour that is not a node, which
+    only a faulty move reaches, is numbered past the nodes, in index and
+    in adjacency with a map of its own, so len(adjacency) >= len(nodes).
+    adjacency is a dict keyed 0, 1, ... in order, not a list, so that
+    its values() are the neighbour maps, as bench/tracing.py's edge
+    counter reads them.
     """
 
     word: Word
     nodes: tuple[Steps, ...]
-    adjacency: dict[Steps, dict[Steps, Move]]
+    adjacency: dict[int, dict[int, Move]]
+    index: dict[Steps, int]
 
     def edges(self) -> list[tuple[Steps, Steps, Move]]:
-        """Canonical undirected edge list: one entry per unordered pair,
-        labelled with the move applied from the smaller node."""
+        """Canonical undirected edge list: one entry per unordered pair
+        of nodes, labelled with the move applied from the smaller node.
+        An edge to a neighbour that is not a node is left out."""
+        nodes = self.nodes
+        count = len(nodes)
         return [
-            (src, dst, move)
-            for src in self.nodes
-            for dst, move in self.adjacency[src].items()
-            if src < dst
+            (nodes[i], nodes[j], move)
+            for i in range(count)
+            for j, move in self.adjacency[i].items()
+            if i < j < count
         ]
 
 
 def build_move_graph(w: Word, cap: int = DEFAULT_CAP) -> MoveGraph:
     sequences = enumerate_sequences(w, cap)
-    return MoveGraph(w, tuple(seq.steps for seq in sequences), neighbour_maps(sequences))
+    nodes = tuple(seq.steps for seq in sequences)
+    index = {node: i for i, node in enumerate(nodes)}
+    return MoveGraph(w, nodes, neighbour_maps(sequences, index), index)
 
 
 def check_connected(graph: MoveGraph) -> bool:
-    """BFS over graph.adjacency from the first node; true iff at most
-    one component (so vacuously true for irreducible words).  An edge
-    leaving the node set, which only a faulty move makes, is false too."""
-    if not graph.nodes:
+    """BFS over graph.adjacency from node 0; true iff at most one
+    component (so vacuously true for irreducible words), that is iff it
+    reaches every node and no number past them: an edge leaving the node
+    set, which only a faulty move makes, is false too."""
+    count = len(graph.nodes)
+    if not count:
         return True
-    return _distances(graph.adjacency, graph.nodes[0]).keys() == set(graph.nodes)
+    dist = _distances(graph.adjacency, 0)
+    return None not in dist[:count] and dist.count(None) == len(dist) - count
 
 
-def _distances(successors: dict[Steps, dict[Steps, Move]], start: Steps) -> dict[Steps, int]:
-    """Breadth-first distance from start to every node it reaches, over
-    a MoveGraph's adjacency, whose entries iterate as neighbours.
-    Nodes without an entry in successors have no edges."""
-    dist = {start: 0}
+def _distances(successors: dict[int, dict[int, Move]], start: int) -> list[int | None]:
+    """Breadth-first distance from start to every number of a
+    MoveGraph's adjacency, whose entries iterate as neighbours: None
+    where start does not reach."""
+    dist: list[int | None] = [None] * len(successors)
+    dist[start] = 0
     order = [start]
     for node in order:  # grows as nodes are found, so a queue
         step = dist[node] + 1
-        for other in successors.get(node, ()):
-            if other not in dist:
+        for other in successors[node]:
+            if dist[other] is None:
                 dist[other] = step
                 order.append(other)
     return dist
 
 
 def _distance(
-    successors: dict[Steps, dict[Steps, Move]],
-    predecessors: dict[Steps, list[Steps]],
-    start: Steps,
-    target: Steps,
+    successors: dict[int, dict[int, Move]],
+    predecessors: list[list[int]],
+    start: int,
+    target: int,
 ) -> int | None:
     """Breadth-first distance from start to target, or None if target is
     unreachable, by a search that meets in the middle: forward from
     start over successors, a MoveGraph's adjacency, and backward from
-    target over predecessors, whose entries are bare lists.  It always
-    grows the smaller frontier by one whole layer and returns at the
-    first node the other side has seen.  Before that layer no node was
-    on both sides, so no path is shorter.  Nodes without an entry in a
-    map have no edges in that direction."""
+    target over predecessors, whose entries are bare lists; both are
+    indexed by node number.  It always grows the smaller frontier by one
+    whole layer and returns at the first node the other side has seen.
+    Before that layer no node was on both sides, so no path is
+    shorter."""
     if start == target:
         return 0
     side = ([start], {start: 0}, successors)
@@ -152,7 +168,7 @@ def _distance(
         layer = []
         for node in frontier:
             step = seen[node] + 1
-            for other in neighbours.get(node, ()):
+            for other in neighbours[node]:
                 if other not in seen:
                     if other in met:
                         return step + met[other]
@@ -184,46 +200,72 @@ class TransformReport:
         return not self.failures
 
 
+class _Sequences(dict):
+    """The ReductionSequence of each node number, built when first
+    asked for, so a sampled pair check builds one only for the nodes
+    its chains touch."""
+
+    def __init__(self, word: Word, nodes: tuple[Steps, ...]):
+        super().__init__()
+        self.word = word
+        self.nodes = nodes
+
+    def __missing__(self, i: int) -> ReductionSequence:
+        r = self[i] = ReductionSequence(self.word, self.nodes[i])
+        return r
+
+
+def _reason(err: Exception) -> str:
+    # a FreewordError by its message; any other error, which only a
+    # defect raises, by its type too
+    if isinstance(err, FreewordError):
+        return str(err)
+    return f"{type(err).__name__}: {err}"
+
+
 def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> TransformReport:
     """Replay-check transform_to over ordered pairs of the graph's nodes.
 
     Every ordered pair is checked when the graph has at most
     PAIR_THRESHOLD nodes; beyond that, PAIR_SAMPLES pairs are drawn from
-    rng (default Random(0)).  A transform_to that raises is a failure too,
-    reported by its message, after its type unless it is a FreewordError.
-    Each pair must replay from start to target through known nodes
-    within the k(k-1)/2 length bound, and the target must also be
-    reachable by single moves.  Its BFS distance is reported alongside
-    the chain length for comparison.  Exhaustive pairs read it from one
-    breadth-first search per start, which expands each node once.  A
-    sampled pair gets it from a search that meets in the middle, forward
-    from the start and backward from the target.
+    rng (default Random(0)).  A transform_to or a replayed move that
+    raises is a failure too, reported by its message, after its type
+    unless it is a FreewordError.  Each pair must replay from start to
+    target through known nodes within the k(k-1)/2 length bound, and
+    the target must also be reachable by single moves.  Its BFS distance
+    is reported alongside the chain length for comparison.  Exhaustive
+    pairs read it from one breadth-first search per start, which expands
+    each node once.  A sampled pair gets it from a search that meets in
+    the middle, forward from the start and backward from the target.
     """
     word = graph.word
     nodes = graph.nodes
+    count = len(nodes)
+    index = graph.index
+    adjacency = graph.adjacency
     report = TransformReport(word)
     k = len(word) // 2
     bound = k * (k - 1) // 2
-    index = {node: i for i, node in enumerate(nodes)}
-    sequences = [ReductionSequence(word, node) for node in nodes]
+    sequences = _Sequences(word, nodes)
     predecessors = None
-    if len(nodes) <= PAIR_THRESHOLD:
-        runs = [(i, range(len(nodes))) for i in range(len(nodes))]
+    if count <= PAIR_THRESHOLD:
+        runs = [(i, range(count)) for i in range(count)]
     else:
         rng = rng or random.Random(0)
-        runs = [(index[rng.choice(nodes)], (index[rng.choice(nodes)],))
-                for _ in range(PAIR_SAMPLES)]
+        # randrange(count) draws as choice(nodes) does
+        runs = [(rng.randrange(count), (rng.randrange(count),)) for _ in range(PAIR_SAMPLES)]
         # from the adjacency itself, since a faulty move can make an
         # edge one-way or lead it out of the node set
-        predecessors = {}
-        for node, others in graph.adjacency.items():
+        predecessors = [[] for _ in adjacency]
+        for node, others in adjacency.items():
             for other in others:
-                predecessors.setdefault(other, []).append(node)
-    # moved[i][move] is the index of the node that move turns node i into;
-    # apply_move is pure, so a move met again, from any start, is looked
-    # up.  A move that raises or leaves the node set is not stored, so it
-    # fails again on every chain holding it.  Tables hold indices, not each
-    # other, since moves are reversible and tables would form cycles.
+                predecessors[other].append(node)
+    # moved[i][move] is the number of the node that move turns node i
+    # into; apply_move is pure, so a move met again, from any start, is
+    # looked up.  A move that raises or leaves the node set is not
+    # stored, so it fails again on every chain holding it.  Tables hold
+    # numbers, not each other, since moves are reversible and tables
+    # would form cycles.
     moved: defaultdict[int, dict[Move, int]] = defaultdict(dict)
     report.pair_count = sum(len(targets) for _, targets in runs)
     longest = farthest = 0
@@ -233,18 +275,13 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
 
     for i, targets in runs:
         r = sequences[i]
-        dist = _distances(graph.adjacency, nodes[i]) if predecessors is None else None
+        dist = _distances(adjacency, i) if predecessors is None else None
         for j in targets:
             try:
                 chain = transform_to(r, sequences[j])
-            except FreewordError as err:
-                # on two graph nodes it raises only through a defect
-                fail(i, j, None, str(err))
-                continue
             except Exception as err:
-                # a defect outside the error hierarchy: one pair's failure,
-                # not the end of the sweep
-                fail(i, j, None, f"{type(err).__name__}: {err}")
+                # a defect: one pair's failure, not the end of the sweep
+                fail(i, j, None, _reason(err))
                 continue
             length = len(chain)
             if length > longest:
@@ -258,11 +295,12 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
                 if after is None:
                     try:
                         result = apply_move(sequences[at], move)
-                    except FreewordError as err:
-                        fail(i, j, move_index, str(err))
+                    except Exception as err:
+                        fail(i, j, move_index, _reason(err))
                         break
-                    after = index.get(result.steps)
-                    if after is None:
+                    # a non-node is missing from index or numbered past the nodes
+                    after = index.get(result.steps, count)
+                    if after >= count:
                         fail(i, j, move_index, "intermediate sequence is not a known node")
                         break
                     table[move] = after
@@ -271,9 +309,9 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
                 if at != j:
                     fail(i, j, None, "chain does not replay to the target")
             if dist is None:
-                distance = _distance(graph.adjacency, predecessors, nodes[i], nodes[j])
+                distance = _distance(adjacency, predecessors, i, j)
             else:
-                distance = dist.get(nodes[j])
+                distance = dist[j]
             if distance is None:
                 fail(i, j, None, "target unreachable by single moves")
             elif distance > farthest:

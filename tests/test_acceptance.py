@@ -323,12 +323,12 @@ def test_criterion_11_move_algebra(exhaustive_words, random_words):
     failures = []
     for word in reducible(itertools.chain(exhaustive_words, random_words)):
         graph = build_move_graph(word)
-        for src in graph.nodes:
+        for src, node in enumerate(graph.nodes):
             for dst, move in graph.adjacency[src].items():
                 back = Move(inverse_kind[move.kind], move.at)
                 checked += 1
                 if [s for s, m in graph.adjacency[dst].items() if m == back] != [src]:
-                    failures.append((word, src, move))
+                    failures.append((word, node, move))
     assert report(
         11,
         "swaps are involutions and the overlap directions undo each other",

@@ -14,6 +14,7 @@ from freeword import oracle
 from freeword.cli import build_parser, main
 from freeword.core import parse_word, render_word
 from freeword.errors import NotIndependent
+from freeword.moves import apply_move
 from freeword.reduction import render_steps
 from freeword.transform import transform_to
 
@@ -549,7 +550,8 @@ def _seed_defects(monkeypatch):
     # a truncated chain, a move graph without edges and a wrong normal
     # form: each failure kind of a check report shows up
     monkeypatch.setattr(oracle, "transform_to", lambda r, s: transform_to(r, s)[:-1])
-    monkeypatch.setattr(oracle, "neighbour_maps", lambda seqs: {r.steps: {} for r in seqs})
+    monkeypatch.setattr(oracle, "neighbour_maps",
+                        lambda seqs, index: {i: {} for i in range(len(seqs))})
     monkeypatch.setattr(oracle, "normal_form", lambda w: ())
 
 
@@ -585,6 +587,23 @@ def test_check_reports_a_transform_to_that_raises(capsys, monkeypatch):
         assert code == 1
         assert err == ""
         assert f"transform failure: a a' a a' 0,0 -> 2,0: {reason}" in out
+
+
+def test_check_reports_a_replayed_move_that_raises(capsys, monkeypatch):
+    # an error of any type from apply_move during the replay is that
+    # pair's failure, named as a transform_to error is, and the sweep
+    # goes on
+    def raising(r, move):
+        if r.steps == (2, 0):
+            raise IndexError("tuple index out of range")
+        return apply_move(r, move)
+
+    monkeypatch.setattr(oracle, "apply_move", raising)
+    code, out, err = run(capsys, *SEEDED_ARGV)
+    assert code == 1
+    assert err == ""
+    assert "Traceback" not in out
+    assert "transform failure: a a' a a' 2,0 -> 0,0: IndexError: tuple index out of range" in out
 
 
 # Exit-code contract: whatever the argv, main ends in 0, 1 or 2 (argparse

@@ -210,11 +210,13 @@ def test_neighbour_maps_match_applicable_moves_in_any_order():
     for text in CORPUS_WORDS:
         sequences = enumerate_sequences(w(text))
         for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
-            maps = neighbour_maps(order)
-            assert list(maps) == [r.steps for r in order]
-            for r in order:
-                assert [(move, ReductionSequence(r.word, steps))
-                        for steps, move in maps[r.steps].items()] == applicable_moves(r)
+            index = {r.steps: i for i, r in enumerate(order)}
+            maps = neighbour_maps(order, index)
+            # a correct move reaches only sequences, so no number is added
+            assert list(index) == [r.steps for r in order]
+            assert list(maps) == list(range(len(order)))
+            for i, r in enumerate(order):
+                assert [(move, order[j]) for j, move in maps[i].items()] == applicable_moves(r)
 
 
 @pytest.mark.parametrize("steps,position,step", [
@@ -225,13 +227,22 @@ def test_neighbour_maps_check_every_step_past_the_shared_prefix(steps, position,
     word = w("a a' b b'")
     bad = ReductionSequence(word, steps)  # built by hand, never validated
     with pytest.raises(InvalidRedex) as err:
-        neighbour_maps([seq("a a' b b'", (0, 0)), bad])
+        neighbour_maps([seq("a a' b b'", (0, 0)), bad], {(0, 0): 0, steps: 1})
     assert (err.value.position, err.value.step) == (position, step)
 
 
 def test_neighbour_maps_reject_sequences_of_two_words():
     with pytest.raises(WordMismatch):
-        neighbour_maps([seq("a a'", (0,)), seq("b b'", (0,))])
+        neighbour_maps([seq("a a' b b'", (0, 0)), seq("b b'", (0,))], {(0, 0): 0, (0,): 1})
+
+
+def test_neighbour_maps_number_a_neighbour_missing_from_the_index():
+    # (2, 0) is not among the sequences, as when a faulty move reaches
+    # a non-node: it gets the next free number and an empty map
+    index = {(0, 0): 0}
+    maps = neighbour_maps([seq("a a' b b'", (0, 0))], index)
+    assert index == {(0, 0): 0, (2, 0): 1}
+    assert maps == {0: {1: Move(SWAP, 0)}, 1: {}}
 
 
 def test_swap_is_an_involution():

@@ -122,7 +122,8 @@ def test_move_graph_single_node():
 def test_move_graph_every_edge_has_its_reverse():
     for text in ["a a' b b'", "a a' a a'", "a a' b c c' b'", "a a' a a' a a'"]:
         graph = build_move_graph(w(text))
-        for src in graph.nodes:
+        assert len(graph.adjacency) == len(graph.nodes)
+        for src, node in enumerate(graph.nodes):
             for dst, move in graph.adjacency[src].items():
                 reverse_kind = {
                     SWAP: SWAP,
@@ -131,34 +132,43 @@ def test_move_graph_every_edge_has_its_reverse():
                 }[move.kind]
                 back = graph.adjacency[dst].get(src)
                 assert back == Move(reverse_kind, move.at), \
-                    f"{move} from {src} has no reverse from {dst}"
+                    f"{move} from {node} has no reverse from {graph.nodes[dst]}"
+
+
+def hand_built(text, nodes, adjacency, strays=()):
+    # a MoveGraph built by hand: the nodes are numbered first, then the
+    # non-nodes that some edge reaches, as build_move_graph numbers them
+    index = {steps: i for i, steps in enumerate(nodes + strays)}
+    return MoveGraph(w(text), nodes, adjacency, index)
 
 
 def test_check_connected_spots_a_gap():
     # hand-built graph with an unreachable node
     adjacency = {
-        (0, 0): {(1, 0): Move(OVERLAP_RIGHT, 0)},
-        (1, 0): {(0, 0): Move(OVERLAP_LEFT, 0)},
-        (2, 0): {},
+        0: {1: Move(OVERLAP_RIGHT, 0)},
+        1: {0: Move(OVERLAP_LEFT, 0)},
+        2: {},
     }
-    graph = MoveGraph(w("a a' a a'"), ((0, 0), (1, 0), (2, 0)), adjacency)
+    graph = hand_built("a a' a a'", ((0, 0), (1, 0), (2, 0)), adjacency)
     assert not check_connected(graph)
     # the same graph with the gap filled
-    adjacency[(1, 0)][(2, 0)] = Move(OVERLAP_RIGHT, 0)
-    adjacency[(2, 0)][(1, 0)] = Move(OVERLAP_LEFT, 0)
+    adjacency[1][2] = Move(OVERLAP_RIGHT, 0)
+    adjacency[2][1] = Move(OVERLAP_LEFT, 0)
     assert check_connected(graph)
 
 
 def test_check_connected_rejects_an_edge_leaving_the_node_set():
-    # only a faulty move can produce such an edge; it must not pass
+    # only a faulty move can produce such an edge; it must not pass.
+    # (9, 9) is no node, so it is numbered past them, with a map of its own
     adjacency = {
-        (0, 0): {(2, 0): Move(SWAP, 0), (9, 9): Move(SWAP, 0)},
-        (2, 0): {(0, 0): Move(SWAP, 0)},
+        0: {1: Move(SWAP, 0), 2: Move(SWAP, 0)},
+        1: {0: Move(SWAP, 0)},
+        2: {},
     }
-    graph = MoveGraph(w("a a' b b'"), ((0, 0), (2, 0)), adjacency)
+    graph = hand_built("a a' b b'", ((0, 0), (2, 0)), adjacency, strays=((9, 9),))
     assert not check_connected(graph)
     # the same graph without the stray edge
-    del adjacency[(0, 0)][(9, 9)]
+    del adjacency[0][2]
     assert check_connected(graph)
 
 
@@ -490,6 +500,62 @@ def test_check_pairs_reports_a_failure_inside_a_shared_prefix(monkeypatch):
     assert broken[first] == broken[second] == (1, reason)
 
 
+def test_check_pairs_reports_a_replayed_move_that_raises(monkeypatch):
+    # an error outside the FreewordError hierarchy from apply_move during
+    # the replay is that pair's failure at the move, by its type and its
+    # message, as a FreewordError is by its message.  The move is not
+    # stored, so every chain that meets it raises again
+    graph = build_move_graph(w("a a' a a' b b'"))
+    broken = (2, 0, 0)
+    reason = "IndexError: tuple index out of range"
+    raised = []
+
+    def raising(r, move):
+        if r.steps == broken:
+            raised.append(move)
+            raise IndexError("tuple index out of range")
+        return apply_move(r, move)
+
+    monkeypatch.setattr(oracle, "apply_move", raising)
+    report = check_pairs(graph)
+    expected = []
+    for start in graph.nodes:
+        for target in graph.nodes:
+            current = ReductionSequence(graph.word, start)
+            chain = transform_to(current, ReductionSequence(graph.word, target))
+            for move_index, move in enumerate(chain):
+                if current.steps == broken:
+                    expected.append((start, target, move_index, reason))
+                    break
+                current = apply_move(current, move)
+    assert len(expected) > len(graph.nodes)
+    assert [(f.start, f.target, f.move_index, f.reason) for f in report.failures] == expected
+    assert len(raised) == len(expected)
+
+
+def test_check_pairs_builds_sequences_only_for_the_nodes_chains_touch(monkeypatch):
+    # a sampled pair check builds one ReductionSequence for each start,
+    # target and node a replayed move leaves from, not one per node
+    graph = build_move_graph(w(LARGE_WORD))
+    built, applied = [], []
+
+    def counting_sequence(word, steps):
+        built.append(steps)
+        return ReductionSequence(word, steps)
+
+    def recording_apply_move(r, move):
+        applied.append(r.steps)
+        return apply_move(r, move)
+
+    monkeypatch.setattr(oracle, "ReductionSequence", counting_sequence)
+    monkeypatch.setattr(oracle, "apply_move", recording_apply_move)
+    pairs = record_pairs(monkeypatch)
+    assert check_pairs(graph, random.Random(0)).ok
+    assert len(built) == len(set(built))
+    assert set(built) == {steps for pair in pairs for steps in pair} | set(applied)
+    assert len(built) < len(graph.nodes) // 4
+
+
 # the 180-sequence word of the sweep workload's first seed
 SWEEP_WORD = "b b' b b' c c' a b c c' b' a'"
 
@@ -573,8 +639,9 @@ def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
 
 
 def test_check_pairs_table_memory_is_bounded(monkeypatch):
-    # every ordered pair of the 180-sequence word: the table's entries
-    # and the rest of the pair check stay within 1 MiB traced
+    # every ordered pair of the 180-sequence word: transform_to's graph
+    # of sub-problems, the tables of applied moves and the rest of the
+    # pair check peak within 1 MiB traced
     graph = build_move_graph(w(SWEEP_WORD))
     monkeypatch.setattr(transform, "_memo", None)
     tracemalloc.start()
@@ -617,16 +684,23 @@ EXHAUSTIVE_WORD = "a a a a' a' a' a a a' a' a' a"
 
 
 def full_bfs(graph, start):
-    # reference: every distance from start, the whole graph searched
-    dist = {start: 0}
+    # reference: the distance from node number start to every number of
+    # the adjacency, None where unreached, the whole graph searched
+    dist = [None] * len(graph.adjacency)
+    dist[start] = 0
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for other in graph.adjacency.get(node, {}).keys():
-            if other not in dist:
+        for other in graph.adjacency[node].keys():
+            if dist[other] is None:
                 dist[other] = dist[node] + 1
                 queue.append(other)
     return dist
+
+
+def numbered(graph, pairs):
+    # recorded (start, target) steps as node numbers
+    return [(graph.index[s], graph.index[t]) for s, t in pairs]
 
 
 def record_pairs(monkeypatch):
@@ -643,10 +717,10 @@ def record_pairs(monkeypatch):
 
 
 def record_searches(monkeypatch, maps=None):
-    # every search the oracle runs, in order, with its result:
-    # (start, distances) for a start's BFS, (start, target, distance)
-    # for a sampled pair; maps, if given, collects the successor map
-    # each search is handed
+    # every search the oracle runs, in order, with its result, over
+    # node numbers: (start, distances) for a start's BFS, (start,
+    # target, distance) for a sampled pair; maps, if given, collects the
+    # successor map each search is handed
     searches = []
     maps = [] if maps is None else maps
     distances, distance = oracle._distances, oracle._distance
@@ -666,6 +740,22 @@ def record_searches(monkeypatch, maps=None):
     return searches
 
 
+def test_move_graph_held_memory_is_bounded():
+    # LARGE_WORD's graph, 2,052 nodes and 8,190 edges, numbered: what it
+    # holds stays below 1.75 MiB traced (1,278 KiB).  Keyed by step
+    # tuples, each node's neighbour map held about 2.5 MiB
+    word = w(LARGE_WORD)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = build_move_graph(word)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (len(graph.nodes), len(graph.edges())) == (2052, 8190)
+    assert held < 1.75 * 2**20
+
+
 def test_move_graph_keeps_every_applicable_move():
     # each node maps its neighbours, in applicable_moves order, to the
     # move reaching each one; no two moves share a neighbour, so the
@@ -673,10 +763,12 @@ def test_move_graph_keeps_every_applicable_move():
     nodes = 0
     for word in [*SELF_TEST_WORDS, w(LARGE_WORD)]:
         graph = build_move_graph(word)
-        for steps in graph.nodes:
+        assert len(graph.adjacency) == len(graph.index) == len(graph.nodes)
+        for i, steps in enumerate(graph.nodes):
+            assert graph.index[steps] == i
             applicable = applicable_moves(ReductionSequence(word, steps))
-            assert len(graph.adjacency[steps]) == len(applicable)
-            assert list(graph.adjacency[steps].items()) == [
+            assert len(graph.adjacency[i]) == len(applicable)
+            assert [(graph.nodes[j], move) for j, move in graph.adjacency[i].items()] == [
                 (result.steps, move) for move, result in applicable]
             nodes += 1
     assert nodes > 2052  # LARGE_WORD's alone, so no word was skipped
@@ -692,7 +784,7 @@ def test_move_graph_holds_exactly_the_moves_apply_move_accepts():
     for word in [*SELF_TEST_WORDS, w(LARGE_WORD)]:
         graph = build_move_graph(word)
         k = len(word) // 2
-        for steps in graph.nodes:
+        for i, steps in enumerate(graph.nodes):
             r = ReductionSequence(word, steps)
             accepted = []
             kinds = (SWAP, OVERLAP_LEFT, OVERLAP_RIGHT)
@@ -701,7 +793,7 @@ def test_move_graph_holds_exactly_the_moves_apply_move_accepts():
                     accepted.append((apply_move(r, move).steps, move))
                 except FreewordError:
                     pass
-            assert list(graph.adjacency[steps].items()) == accepted
+            assert [(graph.nodes[j], move) for j, move in graph.adjacency[i].items()] == accepted
             nodes += 1
     assert nodes > 2052  # LARGE_WORD's alone, so no word was skipped
 
@@ -709,7 +801,8 @@ def test_move_graph_holds_exactly_the_moves_apply_move_accepts():
 def test_searches_run_over_the_graph_adjacency_itself(monkeypatch):
     # no search gets a successor map rebuilt from the adjacency:
     # check_connected, a start's BFS and a sampled pair's two-sided
-    # search are all handed graph.adjacency itself
+    # search are all handed graph.adjacency itself, and search from
+    # node numbers, not step tuples
     maps = []
     searches = record_searches(monkeypatch, maps)
     for text in [EXHAUSTIVE_WORD, LARGE_WORD]:
@@ -719,6 +812,7 @@ def test_searches_run_over_the_graph_adjacency_itself(monkeypatch):
         assert check_pairs(graph, random.Random(0)).ok
         assert len(maps) == len(searches) > 1
         assert all(m is graph.adjacency for m in maps)
+        assert all(type(n) is int for search in searches for n in search[:-1])
     assert {len(search) for search in searches} == {2, 3}
 
 
@@ -735,27 +829,30 @@ def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, samples, seed
     report = check_pairs(graph, random.Random(seed))
     assert report.ok
     assert report.pair_count == len(pairs) == (samples or len(graph.nodes) ** 2)
-    reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
+    numbers = numbered(graph, pairs)
+    reference = {start: full_bfs(graph, start) for start in {s for s, _ in numbers}}
     if samples is None:
         # every pair reads its distance from its start's one search
         assert [s for s, _ in pairs] == [s for s in graph.nodes for _ in graph.nodes]
-        assert searches == [(start, reference[start]) for start in graph.nodes]
+        assert searches == [(start, reference[start]) for start in range(len(graph.nodes))]
     else:
-        assert searches == [(s, t, reference[s][t]) for s, t in pairs]
-    assert report.max_bfs_distance == max(reference[s][t] for s, t in pairs)
+        assert searches == [(s, t, reference[s][t]) for s, t in numbers]
+    assert report.max_bfs_distance == max(reference[s][t] for s, t in numbers)
 
 
 def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch):
     # (0, 0) -> (1, 0) is one-way, and (2, 0) has an edge leaving the
-    # node set; only faulty moves make such graphs
-    graph = MoveGraph(
-        word=w("a a' a a'"),
-        nodes=((0, 0), (1, 0), (2, 0)),
-        adjacency={
-            (0, 0): {(1, 0): Move(OVERLAP_RIGHT, 0)},
-            (1, 0): {(2, 0): Move(OVERLAP_RIGHT, 0)},
-            (2, 0): {(1, 0): Move(OVERLAP_LEFT, 0), (9, 9): Move(SWAP, 0)},
+    # node set, to (9, 9); only faulty moves make such graphs
+    graph = hand_built(
+        "a a' a a'",
+        ((0, 0), (1, 0), (2, 0)),
+        {
+            0: {1: Move(OVERLAP_RIGHT, 0)},
+            1: {2: Move(OVERLAP_RIGHT, 0)},
+            2: {1: Move(OVERLAP_LEFT, 0), 3: Move(SWAP, 0)},
+            3: {},
         },
+        strays=((9, 9),),
     )
     reason = "target unreachable by single moves"
     pairs = record_pairs(monkeypatch)
@@ -766,11 +863,13 @@ def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch)
             monkeypatch.setattr(oracle, "PAIR_SAMPLES", samples)
         del pairs[:]
         report = check_pairs(graph, random.Random(seed))
-        reference = {start: full_bfs(graph, start) for start in {s for s, _ in pairs}}
-        unreachable = [(s, t, reason) for s, t in pairs if t not in reference[s]]
+        numbers = numbered(graph, pairs)
+        reference = {start: full_bfs(graph, start) for start in {s for s, _ in numbers}}
+        unreachable = [(s, t, reason) for (s, t), (i, j) in zip(pairs, numbers)
+                       if reference[i][j] is None]
         assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
         assert report.max_bfs_distance == max(
-            reference[s][t] for s, t in pairs if t in reference[s])
+            reference[i][j] for i, j in numbers if reference[i][j] is not None)
         if samples is None:
             assert unreachable == [((1, 0), (0, 0), reason), ((2, 0), (0, 0), reason)]
 
@@ -778,18 +877,25 @@ def test_check_pairs_reports_unreachable_targets_as_a_full_bfs_does(monkeypatch)
 def damaged_graph(graph, rng):
     # drop edges at random, so that some become one-way, and add edges
     # to nodes outside the node set, some of which lead back in; only
-    # faulty moves make such graphs
+    # faulty moves make such graphs.  The strays are numbered past the
+    # nodes, each with a map of its own
     drop = rng.choice([0.1, 0.3, 0.6])
+    count = len(graph.nodes)
+    strays = []
     adjacency = {}
-    for node, edges in graph.adjacency.items():
-        kept = [edge for edge in edges.items() if rng.random() >= drop]
+    for i, node in enumerate(graph.nodes):
+        kept = [edge for edge in graph.adjacency[i].items() if rng.random() >= drop]
         if rng.random() < 0.2:
-            stray = node + (len(node),)  # one step too many: never a node
+            stray = count + len(strays)
+            strays.append(node + (len(node),))  # one step too many: never a node
             kept.insert(rng.randrange(len(kept) + 1), (stray, Move(SWAP, 0)))
             if rng.random() < 0.5:
-                adjacency[stray] = {rng.choice(graph.nodes): Move(SWAP, 0)}
-        adjacency[node] = dict(kept)
-    return MoveGraph(graph.word, graph.nodes, adjacency)
+                # randrange(count) draws as choice(graph.nodes) does
+                adjacency[stray] = {rng.randrange(count): Move(SWAP, 0)}
+        adjacency[i] = dict(kept)
+    adjacency = {i: adjacency.get(i, {}) for i in range(count + len(strays))}
+    index = {steps: i for i, steps in enumerate(graph.nodes + tuple(strays))}
+    return MoveGraph(graph.word, graph.nodes, adjacency, index)
 
 
 @pytest.mark.parametrize("text", ["a a' a a' a a'", "a a' b b' a a' b b'", EXHAUSTIVE_WORD,
@@ -810,34 +916,36 @@ def test_sampled_distances_on_damaged_graphs_match_a_full_bfs(monkeypatch, text)
             damaged = damaged_graph(graph, random.Random(seed))
             del pairs[:], searches[:]
             report = check_pairs(damaged, random.Random(seed))
-            reference = {start: full_bfs(damaged, start) for start in {s for s, _ in pairs}}
+            numbers = numbered(damaged, pairs)
+            reference = {start: full_bfs(damaged, start) for start in {s for s, _ in numbers}}
             if threshold == 2:
                 assert len(pairs) == report.pair_count == oracle.PAIR_SAMPLES
-                assert searches == [(s, t, reference[s].get(t)) for s, t in pairs]
+                assert searches == [(s, t, reference[s][t]) for s, t in numbers]
             else:
                 assert len(pairs) == report.pair_count == len(graph.nodes) ** 2
-                assert searches == [(start, reference[start]) for start in graph.nodes]
-            unreachable = [(s, t, reason) for s, t in pairs if t not in reference[s]]
+                assert searches == [(start, reference[start]) for start in range(len(graph.nodes))]
+            unreachable = [(s, t, reason) for (s, t), (i, j) in zip(pairs, numbers)
+                           if reference[i][j] is None]
             assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
             assert report.max_bfs_distance == max(
-                [reference[s][t] for s, t in pairs if t in reference[s]], default=0)
-            seen.update("same" if s == t else "unreachable" if t not in reference[s]
-                        else "reachable" for s, t in pairs)
+                [reference[i][j] for i, j in numbers if reference[i][j] is not None], default=0)
+            seen.update("same" if i == j else "unreachable" if reference[i][j] is None
+                        else "reachable" for i, j in numbers)
         assert seen == {"same", "unreachable", "reachable"}
 
 
-class CountingMap(dict):
-    """A neighbour map that logs every node a search expands, together
-    with the start of that search."""
+class CountingMap(list):
+    """Neighbours by node number that log every node a search expands,
+    together with the start of that search."""
 
     def __init__(self, neighbours, start, log):
-        super().__init__(neighbours)
+        super().__init__(neighbours[i] for i in range(len(neighbours)))
         self.start = start
         self.log = log
 
-    def get(self, node, default=None):
+    def __getitem__(self, node):
         self.log.append((self.start, node))
-        return super().get(node, default)
+        return super().__getitem__(node)
 
 
 def count_expansions(monkeypatch):
@@ -859,8 +967,8 @@ def count_expansions(monkeypatch):
 
 
 def expanded_until(graph, start, target):
-    # how many nodes a one-sided breadth-first search expands before it
-    # finds target
+    # how many nodes a one-sided breadth-first search from node number
+    # start expands before it finds target
     dist = {start: 0}
     queue = deque([start])
     while queue and target not in dist:
@@ -878,6 +986,7 @@ def test_check_pairs_search_stops_at_the_target(monkeypatch):
     graph = build_move_graph(w(LARGE_WORD))
     assert check_pairs(graph, random.Random(0)).ok
     assert forward and backward
+    assert {node for _, node in forward + backward} <= set(range(len(graph.nodes)))
     # a full BFS expands every node of this connected graph once
     assert len(forward) + len(backward) < len({s for s, _ in pairs}) * len(graph.nodes)
 
@@ -901,6 +1010,7 @@ def test_check_pairs_sampled_searches_meet_in_the_middle(monkeypatch):
     assert check_pairs(graph, random.Random(0)).ok
     assert len(pairs) == len(searches) == oracle.PAIR_SAMPLES
     assert forward and backward
-    one_sided = sum(expanded_until(graph, start, target) for start, target in pairs)
+    one_sided = sum(expanded_until(graph, start, target)
+                    for start, target in numbered(graph, pairs))
     assert len(forward) + len(backward) < 0.3 * one_sided
     assert (len(forward) + len(backward), one_sided) == (12524, 45418)
