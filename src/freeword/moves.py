@@ -145,23 +145,22 @@ def applicable_moves(r: ReductionSequence) -> list[tuple[Move, ReductionSequence
     Deterministic order: by step index, swap then ovl then ovr.  The
     one-node case of neighbour_maps.
     """
-    index = {r.steps: 0}
-    neighbours = neighbour_maps([r], index)[0]
+    maps, index = neighbour_maps([r])
     steps_of = list(index)
-    return [(move, ReductionSequence(r.word, steps_of[j])) for j, move in neighbours.items()]
+    return [(move, ReductionSequence(r.word, steps_of[j])) for j, move in maps[0].items()]
 
 
 def neighbour_maps(
-    sequences: Sequence[ReductionSequence], index: dict[Steps, int]
-) -> dict[int, dict[int, Move]]:
-    """{i: {j: the move reaching j}} for sequences of one word, each map
-    in applicable_moves order, where i and j are numbers from index.
-    index must number the sequences' steps 0, 1, ... in order.  A
-    neighbour missing from it, which only a faulty move reaches, is
-    added with the next free number and gets an empty map, so every
-    number in a map has an entry.  Distinct moves from a reduction reach
-    distinct neighbours, so no move is dropped.  Sequences of different
-    words raise WordMismatch.
+    sequences: Sequence[ReductionSequence],
+) -> tuple[dict[int, dict[int, Move]], dict[Steps, int]]:
+    """(maps, index) for distinct sequences of one word.  index numbers
+    the sequences' steps 0, 1, ... in order, and maps[i] is {j: the move
+    reaching j} for sequence i, in applicable_moves order.  A neighbour
+    that is not among the sequences, which only a faulty move reaches,
+    is numbered past them, in index and in maps with an empty map, so
+    every number in a map has an entry.  Distinct moves from a reduction
+    reach distinct neighbours, so no move is dropped.  Sequences of
+    different words raise WordMismatch.
 
     One pass: the trace of the current sequence is kept, and only the
     words past the steps it shares with the previous sequence are
@@ -170,6 +169,7 @@ def neighbour_maps(
     most of their steps.  Each Move is built once, and each neighbour's
     steps are hashed once, into index.
     """
+    index = {seq.steps: i for i, seq in enumerate(sequences)}
     maps: dict[int, dict[int, Move]] = {}
     trace: list[Word] = []  # trace[j]: the word before step j of the last sequence
     last: Steps = ()
@@ -206,7 +206,7 @@ def neighbour_maps(
                     neighbours[number(steps[:i] + (target,) + steps[i + 1:], len(index))] = move
     for j in range(len(maps), len(index)):
         maps[j] = {}
-    return maps
+    return maps, index
 
 
 _KINDS = (SWAP, *_DIRECTION_OF)

@@ -94,24 +94,23 @@ class MoveGraph:
     index: dict[Steps, int]
 
     def edges(self) -> list[tuple[Steps, Steps, Move]]:
-        """Canonical undirected edge list: one entry per unordered pair
-        of nodes, labelled with the move applied from the smaller node.
-        An edge to a neighbour that is not a node is left out."""
-        nodes = self.nodes
-        count = len(nodes)
+        """Canonical undirected edge list: one entry per unordered pair,
+        labelled with the move applied from the smaller node, by steps.
+        An edge to a non-node, which only a faulty move makes, is listed
+        when the non-node's steps are the larger."""
+        steps = list(self.index)  # steps[j] for every number j
         return [
-            (nodes[i], nodes[j], move)
-            for i in range(count)
+            (steps[i], steps[j], move)
+            for i in range(len(self.nodes))
             for j, move in self.adjacency[i].items()
-            if i < j < count
+            if steps[i] < steps[j]
         ]
 
 
 def build_move_graph(w: Word, cap: int = DEFAULT_CAP) -> MoveGraph:
     sequences = enumerate_sequences(w, cap)
-    nodes = tuple(seq.steps for seq in sequences)
-    index = {node: i for i, node in enumerate(nodes)}
-    return MoveGraph(w, nodes, neighbour_maps(sequences, index), index)
+    adjacency, index = neighbour_maps(sequences)
+    return MoveGraph(w, tuple(seq.steps for seq in sequences), adjacency, index)
 
 
 def check_connected(graph: MoveGraph) -> bool:

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeword import oracle
+from freeword import moves, oracle
 from freeword.cli import build_parser, main
 from freeword.core import parse_word, render_word
 from freeword.errors import NotIndependent
-from freeword.moves import apply_move
-from freeword.reduction import render_steps
+from freeword.moves import apply_move, neighbour_maps
+from freeword.reduction import ReductionSequence, render_steps
 from freeword.transform import transform_to
 
 
@@ -244,6 +244,22 @@ def test_graph_json(capsys):
     assert payload["edge_count"] == 1
     assert payload["connected"] is True
     assert payload["edges"] == [{"from": [0, 0], "to": [2, 0], "move": "swap@0"}]
+
+
+def test_graph_json_lists_an_edge_to_a_non_node(capsys, monkeypatch):
+    # a faulty swap reaches steps that are no reduction of the word.
+    # Such an edge is listed, and counted, when the non-node's steps are
+    # the larger: (0, 0, 0) from (0, 0) is, (0, 2, 0) from (2, 0) is not
+    monkeypatch.setattr(moves, "swap",
+                        lambda r, i: ReductionSequence(r.word, r.steps[::-1] + (i,)))
+    code, payload = run_json(capsys, "graph", "a a' a a'")
+    assert code == 0
+    assert (payload["node_count"], payload["edge_count"], payload["connected"]) == (3, 3, False)
+    assert payload["edges"] == [
+        {"from": [0, 0], "to": [0, 0, 0], "move": "swap@0"},
+        {"from": [0, 0], "to": [1, 0], "move": "ovr@0"},
+        {"from": [1, 0], "to": [2, 0], "move": "ovr@0"},
+    ]
 
 
 def test_graph_deterministic(capsys):
@@ -550,8 +566,11 @@ def _seed_defects(monkeypatch):
     # a truncated chain, a move graph without edges and a wrong normal
     # form: each failure kind of a check report shows up
     monkeypatch.setattr(oracle, "transform_to", lambda r, s: transform_to(r, s)[:-1])
-    monkeypatch.setattr(oracle, "neighbour_maps",
-                        lambda seqs, index: {i: {} for i in range(len(seqs))})
+    def edgeless(seqs):
+        maps, index = neighbour_maps(seqs)
+        return {i: {} for i in maps}, index
+
+    monkeypatch.setattr(oracle, "neighbour_maps", edgeless)
     monkeypatch.setattr(oracle, "normal_form", lambda w: ())
 
 

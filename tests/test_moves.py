@@ -210,8 +210,7 @@ def test_neighbour_maps_match_applicable_moves_in_any_order():
     for text in CORPUS_WORDS:
         sequences = enumerate_sequences(w(text))
         for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
-            index = {r.steps: i for i, r in enumerate(order)}
-            maps = neighbour_maps(order, index)
+            maps, index = neighbour_maps(order)
             # a correct move reaches only sequences, so no number is added
             assert list(index) == [r.steps for r in order]
             assert list(maps) == list(range(len(order)))
@@ -227,20 +226,19 @@ def test_neighbour_maps_check_every_step_past_the_shared_prefix(steps, position,
     word = w("a a' b b'")
     bad = ReductionSequence(word, steps)  # built by hand, never validated
     with pytest.raises(InvalidRedex) as err:
-        neighbour_maps([seq("a a' b b'", (0, 0)), bad], {(0, 0): 0, steps: 1})
+        neighbour_maps([seq("a a' b b'", (0, 0)), bad])
     assert (err.value.position, err.value.step) == (position, step)
 
 
 def test_neighbour_maps_reject_sequences_of_two_words():
     with pytest.raises(WordMismatch):
-        neighbour_maps([seq("a a' b b'", (0, 0)), seq("b b'", (0,))], {(0, 0): 0, (0,): 1})
+        neighbour_maps([seq("a a'", (0,)), seq("b b'", (0,))])
 
 
-def test_neighbour_maps_number_a_neighbour_missing_from_the_index():
+def test_neighbour_maps_number_a_neighbour_missing_from_the_sequences():
     # (2, 0) is not among the sequences, as when a faulty move reaches
     # a non-node: it gets the next free number and an empty map
-    index = {(0, 0): 0}
-    maps = neighbour_maps([seq("a a' b b'", (0, 0))], index)
+    maps, index = neighbour_maps([seq("a a' b b'", (0, 0))])
     assert index == {(0, 0): 0, (2, 0): 1}
     assert maps == {0: {1: Move(SWAP, 0)}, 1: {}}
 
