@@ -136,7 +136,8 @@ def cmd_graph(args) -> CommandResult:
     graph = build_move_graph(w, cap=args.cap)
     edges = graph.edges()
     if args.dot:
-        ids = {node: _or_nil(render_steps(node)) for node in graph.nodes}
+        # index numbers every steps tuple an edge reaches, non-nodes too
+        ids = {node: _or_nil(render_steps(node)) for node in graph.index}
         return None, [
             "graph reductions {",
             f'  label="{render_word(w)}";',

@@ -76,17 +76,20 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
 
 
 # transform_to's memo, published by one assignment: None when cold, else
-# (start, root, graph) for the last successful call.  graph maps each
-# state of one word, the word left after j levels and the fronted steps,
-# to its node.  A node maps None to its state and a next target step p to
-# the edge (that level's moves lifted by j, the next node).  A state with
-# m steps is reached only at level k - m, so its lift is fixed; edges lead
-# to shorter words, so nodes form no cycle.  root is start's own node, not
-# in graph, or None until a call from start walks.  A call stores its new
-# nodes and edges only once it has succeeded.  An edge is a pure function
-# of its node's state and p, so threads racing on a node store equal
-# moves, and a state two threads create at once gets two equivalent nodes.
+# (start, root, graph) for the last start validated.  graph maps each
+# state of start's word, the word left after j levels and the fronted
+# steps, to its node.  A node maps None to its state and a next target
+# step p to the edge (that level's moves lifted by j, the next node).  A
+# state with m steps is reached only at level k - m, so its lift is
+# fixed; edges lead to shorter words, so nodes form no cycle.  root is
+# start's own node, not in graph.  An edge is a pure function of its
+# node's state and p, so every edge is stored as it is made, by calls
+# that fail too, and threads racing on a node store equal moves; a state
+# two threads create at once gets two equivalent nodes.  The graph is
+# dropped at a call on another word, or at any call once it holds more
+# than _MAX_STATES states.
 _memo: tuple | None = None
+_MAX_STATES = 2**14
 
 
 def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
@@ -107,57 +110,39 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
 
     After level j the chain depends only on the state, the word left and
     the fronted steps, and on target[j:], so the memo keeps one graph of
-    states per word, shared by all its starts.  A call from a new start
-    computes every level and stores nothing.  A call from the previous
-    call's start walks the graph with one lookup keyed by a step per
-    level, fronts only where an edge is missing, and stores those edges.
-    The graph is dropped at the next call on another word.  Results and
-    errors are those of a call from scratch.
+    states per word, shared by all its starts.  Every call walks its
+    target from its start's node with one lookup keyed by a step per
+    level, fronts only where an edge is missing, and stores that edge at
+    once.  A start other than the previous call's is validated and gets
+    a new node.  Results and errors are those of a call from scratch.
     """
     global _memo
     if r.word != s.word:
         raise WordMismatch(
             f"sequences reduce different words ({len(r.word)} and {len(s.word)} items)"
         )
-    target = s.steps
     memo = _memo
+    if memo is not None and len(memo[2]) > _MAX_STATES:
+        memo = None
     if memo is None or memo[0] != r:
         validate_sequence(r.word, r.steps)
-        word, steps, chain = r.word, list(r.steps), []
-        for level, p in enumerate(target):
-            chain += _front(word, steps, p, level)
-            word = word[:p] + word[p + 2:]
-            del steps[0]
-        if word:
-            raise IncompleteReduction(word)
-        same_word = memo is not None and memo[0].word == r.word
-        _memo = (r, None, memo[2] if same_word else {})
-        return tuple(chain)
-    # the same start was validated by a call that completed
-    _, root, graph = memo
-    node = root = {None: (r.word, r.steps)} if root is None else root
-    chain, new = [], []  # new: the (table, key, value) stores to commit
-    for level, p in enumerate(target):
+        graph = memo[2] if memo is not None and memo[0].word == r.word else {}
+        memo = _memo = (r, {None: (r.word, r.steps)}, graph)
+    _, node, graph = memo
+    chain = []
+    for level, p in enumerate(s.steps):
         edge = node.get(p)
         if edge is None:
             word, kept = node[None]
             steps = list(kept)
             moves = tuple(_front(word, steps, p, level))
             state = (word[:p] + word[p + 2:], tuple(steps[1:]))
-            after = graph.get(state)
-            if after is None:
-                after = {None: state}
-                new.append((graph, state, after))
-            edge = (moves, after)
-            new.append((node, p, edge))
+            edge = node[p] = (moves, graph.setdefault(state, {None: state}))
         moves, node = edge
         chain += moves
     word = node[None][0]
     if word:
         raise IncompleteReduction(word)
-    for table, key, value in new:
-        table[key] = value
-    _memo = (r, root, graph)
     return tuple(chain)
 
 

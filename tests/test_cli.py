@@ -262,6 +262,26 @@ def test_graph_json_lists_an_edge_to_a_non_node(capsys, monkeypatch):
     ]
 
 
+def test_graph_dot_lists_an_edge_to_a_non_node(capsys, monkeypatch):
+    # the faulty swap of the JSON test above: the non-node gets no line
+    # of its own, but its edge is listed by its steps
+    monkeypatch.setattr(moves, "swap",
+                        lambda r, i: ReductionSequence(r.word, r.steps[::-1] + (i,)))
+    code, out, _ = run(capsys, "graph", "a a' a a'", "--dot")
+    assert code == 0
+    assert out.splitlines() == [
+        "graph reductions {",
+        '  label="a a\' a a\'";',
+        '  "0,0";',
+        '  "1,0";',
+        '  "2,0";',
+        '  "0,0" -- "0,0,0" [label="swap@0"];',
+        '  "0,0" -- "1,0" [label="ovr@0"];',
+        '  "1,0" -- "2,0" [label="ovr@0"];',
+        "}",
+    ]
+
+
 def test_graph_deterministic(capsys):
     first = run(capsys, "graph", "a a' b c c' b'", "--dot")
     second = run(capsys, "graph", "a a' b c c' b'", "--dot")

@@ -589,12 +589,10 @@ def test_check_pairs_applies_each_move_once_per_node(monkeypatch):
 
 
 def reference_front_count(word, nodes):
-    # transform_to's rule over check_pairs' order, on a model of its
-    # states: the first call from a start fronts every level and stores
-    # nothing; each later call from it fronts once per (state, step) edge
-    # that no such call met before.  A state is the word and the fronted
-    # steps after some levels; a start's own state is its alone, and
-    # every deeper state is shared by all starts of the word.
+    # transform_to's rule on a model of its states: one _front call per
+    # distinct (state, step) edge over all ordered pairs.  A state is the
+    # word and the fronted steps after some levels; a start's own state is
+    # its alone, and every deeper state is shared by all starts of the word.
     k = len(word) // 2
     states = {}
 
@@ -608,13 +606,11 @@ def reference_front_count(word, nodes):
             states[start, prefix] = apply_step(before, prefix[-1]), fronted.steps[1:]
         return states[start, prefix]
 
-    edges = set()
-    for start in nodes:
-        for target in nodes[1:]:
-            edges.update((state(start, target[:level]), target[level]) for level in range(k))
-    deeper = {state(start, target[:level]) for start in nodes for target in nodes[1:]
+    edges = {(state(start, target[:level]), target[level])
+             for start in nodes for target in nodes for level in range(k)}
+    deeper = {state(start, target[:level]) for start in nodes for target in nodes
               for level in range(1, k + 1)}
-    return k * len(nodes) + len(edges), len(deeper)
+    return len(edges), len(deeper)
 
 
 def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
@@ -629,13 +625,11 @@ def test_check_pairs_resumes_transform_to_past_the_shared_levels(monkeypatch):
     assert check_pairs(graph).ok
     states = transform._memo[2]
     monkeypatch.setattr(transform, "_front", ORIGINAL_FRONT)
-    # one _front call per level of each start's first pair, and one per
-    # edge of the graph of states: 96,840 calls when resuming from the
-    # previous target alone, and 5,175 with a table of tails keyed by the
-    # whole rest of the target
+    # one _front call per edge of the graph of states, the starts' own
+    # nodes included
     fronts, deeper = reference_front_count(graph.word, graph.nodes)
-    assert len(calls) == fronts == 3042
-    assert len(states) == deeper
+    assert len(calls) == fronts == 1962
+    assert len(states) == deeper == 259
 
 
 def test_check_pairs_table_memory_is_bounded(monkeypatch):

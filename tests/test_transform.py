@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -83,7 +84,7 @@ def test_front_reduction_rejects_non_redex():
 # front_reduction and transform_to validate a start whole on entry, as
 # validate_sequence does, so a hand-built start raises what
 # validate_sequence raises on it; transform_to skips the check only for
-# the start of its previous call, which completed.
+# the start of its previous call, which it validated.
 
 @pytest.mark.parametrize("steps", [(5, 0), (-1, 0)])
 def test_front_reduction_rejects_steps_off_the_word(steps):
@@ -356,15 +357,39 @@ def test_transform_to_with_the_memo_matches_cold_calls(calls):
     assert warm == [cold_outcome(r, s) for r, s in calls]
 
 
-def stored_edges(memo):
-    # every edge of the memo, the root's included, keyed by (state, p),
-    # with its moves and the identity of its next node
+@given(memo_calls())
+def test_transform_to_with_a_small_bound_matches_cold_calls(calls):
+    # a bound of 4 states drops the graph at most calls; after each call
+    # the graph holds at most the bound plus the k states of the last call
+    # that walked it, from the memo's start
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "_MAX_STATES", 4)
+        transform._memo = None
+        warm = []
+        for r, s in calls:
+            warm.append(outcome(r, s))
+            memo = transform._memo
+            assert memo is None or len(memo[2]) <= 4 + len(memo[0].word) // 2
+    assert warm == [cold_outcome(r, s) for r, s in calls]
+
+
+def assert_edges_are_fronts(memo):
+    # each node of the memo, the root included, holds its state, a pair of
+    # tuples, and each edge the tuple of moves that fronting p makes on
+    # that state, every at raised by j, leading to the node of the state
+    # that fronting leaves
     _, root, graph = memo
-    nodes = [*graph.values()] + ([] if root is None else [root])
-    return {
-        (node[None], p): (edge[0], id(edge[1]))
-        for node in nodes for p, edge in node.items() if p is not None
-    }
+    k = len(root[None][1])
+    for node in [root, *graph.values()]:
+        word, steps = node[None]
+        assert type(word) is tuple and type(steps) is tuple
+        j = k - len(steps)
+        for p in node.keys() - {None}:
+            moves, after = node[p]
+            cold, fronted = front_reduction(ReductionSequence(word, steps), p)
+            assert type(moves) is tuple
+            assert moves == tuple(Move(move.kind, move.at + j) for move in cold)
+            assert after is graph[apply_step(word, p), fronted.steps[1:]]
 
 
 def count_fronts(monkeypatch):
@@ -390,13 +415,13 @@ def test_transform_to_memo_holds_one_call_of_immutable_values():
     start, root, graph = transform._memo
     assert start == r and root[None] == (r.word, r.steps)
     assert type(chain) is tuple
-    # a new start of the same word keeps the graph and has no root yet
+    # a new start of the same word keeps the graph and gets its own root
     transform_to(nodes[6], nodes[0])
-    assert transform._memo[1:] == (None, graph) and transform._memo[2] is graph
-    # every ordered pair fills the graph; a node per state, each state a
-    # pair of tuples, and each edge the tuple of moves that fronting p
-    # makes on its state, every at raised by j, leading to the node of
-    # the state that fronting leaves
+    start, root, same = transform._memo
+    assert start == nodes[6] and root[None] == (r.word, nodes[6].steps)
+    assert same is graph and nodes[0].steps[0] in root
+    # every ordered pair fills the graph with a node per state, no start
+    # among them
     for r in nodes:
         for s in nodes:
             transform_to(r, s)
@@ -405,15 +430,8 @@ def test_transform_to_memo_holds_one_call_of_immutable_values():
     for state, node in graph.items():
         assert node[None] == state
         word, steps = state
-        assert type(word) is tuple and type(steps) is tuple
-        j = k - len(steps)
-        assert 0 < j <= k and len(word) == 2 * len(steps)  # no start is in graph
-        for p in node.keys() - {None}:
-            moves, after = node[p]
-            cold, fronted = front_reduction(ReductionSequence(word, steps), p)
-            assert type(moves) is tuple
-            assert moves == tuple(Move(move.kind, move.at + j) for move in cold)
-            assert after is graph[apply_step(word, p), fronted.steps[1:]]
+        assert 0 < k - len(steps) <= k and len(word) == 2 * len(steps)
+    assert_edges_are_fronts(transform._memo)
 
 
 def states_along(r, target):
@@ -429,10 +447,10 @@ def states_along(r, target):
 
 
 def test_transform_to_second_call_resumes_past_the_shared_levels(monkeypatch):
-    # a new start fronts every level and stores nothing, the next call
-    # from it stores every level it fronts, so the second target fronts
-    # only past the prefix it shares with the first, until it reaches a
-    # state the first one stored
+    # a call stores every level it fronts, so the same target again fronts
+    # nothing, and a second target fronts only past the prefix it shares
+    # with the first, until it reaches a state the first one stored.  A
+    # call from another start fronts until it reaches such a state too
     nodes = MEMO_NODES[2]
     k = len(nodes[0].steps)
     r, first, second = nodes[5], nodes[0], nodes[1]
@@ -444,16 +462,21 @@ def test_transform_to_second_call_resumes_past_the_shared_levels(monkeypatch):
     along = states_along(r, second.steps)
     rejoin = next(j for j in range(shared + 1, k + 1) if along[j] in stored)
     assert rejoin < k
+    stored.update(along[1:])
+    other = nodes[0]
+    along = states_along(other, first.steps)
+    joined = next(j for j in range(1, k + 1) if along[j] in stored)
+    assert joined < k
+    calls = [(r, first, range(k)), (r, first, []), (r, second, range(shared, rejoin)),
+             (other, first, range(joined))]
     monkeypatch.setattr(transform, "_memo", None)
-    calls = count_fronts(monkeypatch)
-    for _ in range(2):
-        del calls[:]
-        transform_to(r, first)
-        assert calls == list(range(k))
-    del calls[:]
-    chain = transform_to(r, second)
-    assert calls == list(range(shared, rejoin))
-    assert chain == cold_outcome(r, second)
+    lifts = count_fronts(monkeypatch)
+    chains = []
+    for start, target, fronted in calls:
+        del lifts[:]
+        chains.append(transform_to(start, target))
+        assert lifts == list(fronted)
+    assert chains == [cold_outcome(start, target) for start, target, _ in calls]
 
 
 def test_transform_to_from_two_threads_matches_cold_calls():
@@ -538,19 +561,18 @@ def test_transform_to_drops_the_table_when_the_word_changes():
     graph = transform._memo[2]
     assert graph
     transform_to(second[0], second[1])  # a new start on another word
-    assert transform._memo[1:] == (None, {})
-    transform_to(second[0], second[2])  # walks the new word's graph
     assert transform._memo[2] is not graph
-    # one state per level past the first, each of the new word
+    # one state per level, each of the new word
     assert sorted(len(word) for word, _ in transform._memo[2]) == [0, 2, 4, 6]
 
 
-def test_transform_to_target_with_a_bad_middle_step_stores_nothing(monkeypatch):
+def test_transform_to_target_with_a_bad_middle_step_stores_only_correct_edges(monkeypatch):
     # the root of the memo's start lacks the target's first step, so the
-    # call fronts level 0 before the step at level 3, which is off the
-    # word or not a redex, or a redex that leaves the later steps off or
-    # short; the failing targets run first, since a target that succeeds
-    # stores the levels they share
+    # first call fronts level 0 before the step at level 3, which is off
+    # the word or not a redex, or a redex that leaves the later steps off
+    # or short.  Failing targets run first: the first stores the levels
+    # before its bad step, which every later target shares, and every
+    # edge stored, by a call that failed or not, is the front of its state
     nodes = SHARED_NODES[0]
     transform._memo = None
     for r, s in start_major(nodes)[:len(nodes) + 40]:
@@ -567,39 +589,65 @@ def test_transform_to_target_with_a_bad_middle_step_stores_nothing(monkeypatch):
     def raises(got):
         return bool(got) and isinstance(got[0], type)
 
+    transform._memo = memo
     lifts = count_fronts(monkeypatch)
-    edges, states = stored_edges(memo), dict(memo[2])
     failed = 0
-    for target in sorted(targets, key=lambda target: not raises(expected[target])):
-        transform._memo = memo
+    for n, target in enumerate(sorted(targets, key=lambda target: not raises(expected[target]))):
         del lifts[:]
         got = outcome(r, target)
-        if raises(got):
-            failed += 1
-            assert lifts[0] == 0
-            assert transform._memo is memo
-            assert stored_edges(memo) == edges and memo[2] == states
+        failed += raises(got)
         assert got == expected[target]
+        assert lifts[:1] == [0] if n == 0 else min(lifts, default=3) >= 3
     assert failed >= len(r.word) - 6
+    assert transform._memo[1] is root and other[0] in root
+    assert_edges_are_fronts(transform._memo)
 
 
-def test_transform_to_from_a_fresh_start_stores_nothing(monkeypatch):
-    # the fresh calls of library use: one pair at a time on a long word,
-    # every level fronted once, and no graph, root or snapshot kept
+def test_transform_to_from_a_fresh_start_stores_every_level(monkeypatch):
+    # the fresh calls of library use: one pair at a time on a long word.
+    # Each fronts and stores every level its state is new at, so the same
+    # pair again fronts nothing, and an earlier start fronts only level 0
+    # before it walks into the states it stored
     rng = random.Random(40)
     word = random_reducible_word(("a", "b", "c"), 40, rng)
     pairs = [(random_sequence(word, rng), random_sequence(word, rng)) for _ in range(3)]
     transform._memo = None
     for r, s in start_major(MEMO_NODES[0]):
         transform_to(r, s)
-    assert transform._memo[2]
     lifts = count_fronts(monkeypatch)
-    for r, s in pairs:
+    for n, (r, s) in enumerate(pairs):
         del lifts[:]
         chain = transform_to(r, s)
         assert apply_chain(r, chain) == s
-        assert lifts == list(range(40))
-        assert transform._memo == (r, None, {})
+        assert lifts == list(range(40)) if n == 0 else lifts[:2] == [0, 1]
+        assert transform._memo[0] == r and transform._memo[1][None] == (word, r.steps)
+    del lifts[:]
+    for r, s in pairs[-1:] + pairs[:1]:
+        assert apply_chain(r, transform_to(r, s)) == s
+    assert lifts == [0]
+
+
+@pytest.mark.parametrize("starts", ["one", "fresh"])
+def test_transform_to_memory_is_bounded(starts):
+    # 1,000 calls on an 80-letter word, from one start or from a fresh
+    # start each, to random targets: the graph is dropped once it holds
+    # more than _MAX_STATES states, so what the memo holds after them
+    # stays under 8 MiB traced
+    rng = random.Random(80)
+    word = random_reducible_word(("a", "b", "c"), 40, rng)
+    pairs = [(random_sequence(word, rng), random_sequence(word, rng)) for _ in range(1000)]
+    if starts == "one":
+        pairs = [(pairs[0][0], s) for _, s in pairs]
+    transform._memo = None
+    tracemalloc.start()
+    try:
+        for r, s in pairs:
+            transform_to(r, s)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        transform._memo = None
+    assert held < 8 * 2**20
 
 
 # One start contract: a hand-built start raises what validate_sequence
