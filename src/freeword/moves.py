@@ -19,12 +19,13 @@ index edited; chains are comma separated.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Word
+from .core import Word, is_redex_at
 from .errors import (
-    FreewordError, IndexOutOfRange, InvalidArgument, NoOverlap, NotIndependent, ParseError,
-    WordMismatch,
+    FreewordError, IndexOutOfRange, InvalidArgument, InvalidRedex, NoOverlap, NotIndependent,
+    ParseError, WordMismatch,
 )
 from .reduction import POSITION_PATTERN, ReductionSequence, walk
 
@@ -157,38 +158,62 @@ def neighbour_maps(
     the sequences' steps 0, 1, ... in order, and maps[i] is {j: the move
     reaching j} for sequence i, in applicable_moves order.  A neighbour
     that is not among the sequences, which only a faulty move reaches,
-    is numbered past them, in index and in maps with an empty map, so
-    every number in a map has an entry.  Distinct moves from a reduction
-    reach distinct neighbours, so no move is dropped.  Sequences of
-    different words raise WordMismatch.
+    is numbered past them in the order the maps meet it, in index and
+    in maps with an empty map, so every number in a map has an entry.
+    Distinct moves from a reduction reach distinct neighbours, so no
+    move is dropped.  A sequence of another word raises WordMismatch
+    and a step that is no redex raises InvalidRedex, as run_sequence
+    does: either way the first faulty sequence's error, in input order.
 
-    One pass: the trace of the current sequence is kept, and only the
-    words past the steps it shares with the previous sequence are
-    walked again, each step checked as run_sequence checks it.
-    Sequences in lexicographic order, as enumeration yields them, share
-    most of their steps.  Each Move is built once, and each neighbour's
-    steps are hashed once, into index.
+    A graph with at least _SEQUENCES_PER_STEP sequences per step is
+    built by sub-problem, a sparser one node by node; both give the
+    same maps.
     """
     index = {seq.steps: i for i, seq in enumerate(sequences)}
+    if not sequences:
+        return {}, index
+    word = sequences[0].word
+    if any(seq.word != word for seq in sequences):
+        _raise_first_fault(sequences)
+    if len(sequences) < _SEQUENCES_PER_STEP * len(sequences[0].steps):
+        return _maps_node_by_node(sequences, index)
+    return _maps_by_sub_problem(sequences, index)
+
+
+# Below this many sequences per step few sub-problems coincide, and
+# finding and lifting them costs more than it saves.  Timed against node
+# by node on words of 1 to 3 letters and 4 to 42 pairs (Python 3.11,
+# 2-core Xeon), by sub-problem took 1.0 to 1.5 times as long at 1 to 7
+# sequences per step, 0.8 to 1.06 times at 8 to 24, and 0.4 to 0.9
+# times from 28 on
+_SEQUENCES_PER_STEP = 8
+
+
+def _maps_node_by_node(
+    sequences: Sequence[ReductionSequence], index: dict[Steps, int],
+) -> tuple[dict[int, dict[int, Move]], dict[Steps, int]]:
+    """neighbour_maps in one pass over the nodes: the trace of the
+    current sequence is kept, and only the words past the steps it
+    shares with the previous sequence are walked again.  Sequences in
+    lexicographic order, as enumeration yields them, share most of
+    their steps.  Each Move is built once, and each neighbour's steps
+    are hashed once, into index."""
     maps: dict[int, dict[int, Move]] = {}
-    trace: list[Word] = []  # trace[j]: the word before step j of the last sequence
+    trace = [sequences[0].word]  # trace[j]: the word before step j of the last sequence
     last: Steps = ()
     table: list[tuple[Move, list[tuple[Move, str]]]] = []  # the moves at each step index
     number = index.setdefault
     for seq in sequences:
         steps = seq.steps
-        if not trace:
-            trace = [seq.word]
-        elif seq.word != trace[0]:
-            raise WordMismatch(
-                f"sequences reduce different words ({len(trace[0])} and {len(seq.word)} items)"
-            )
         shared = 0
         for p, q in zip(steps, last):
             if p != q:
                 break
             shared += 1
-        trace[shared:] = walk(trace[shared], steps, shared)
+        try:
+            trace[shared:] = walk(trace[shared], steps[shared:])
+        except InvalidRedex:
+            _raise_first_fault(sequences)  # with the step's index in steps
         last = steps
         k = len(steps)
         table.extend(
@@ -207,6 +232,132 @@ def neighbour_maps(
     for j in range(len(maps), len(index)):
         maps[j] = {}
     return maps, index
+
+
+def _maps_by_sub_problem(
+    sequences: Sequence[ReductionSequence], index: dict[Steps, int],
+) -> tuple[dict[int, dict[int, Move]], dict[Steps, int]]:
+    """neighbour_maps from one identity: a move at step i of a sequence
+    is the step-0 move of its tail, the steps from i on, on the word left
+    after the first i steps.  So the work is split into sub-problems, a
+    word and the distinct tails that reduce it.  The sequences with
+    first step p give the sub-problem of the word without the redex at
+    p, and each distinct sub-problem is solved once, however many
+    reach it.  Top down, the sub-problems are found one step at a time,
+    with the step-0 moves of their tails; bottom up, a tail's map is its
+    step-0 moves followed by its own tail's map, whose numbers are
+    lifted to the tails they stand for.  Every way into a sub-problem
+    takes the same number of steps, so its moves already carry their
+    step index in the sequences.  Only two layers of words and tails are
+    held at a time, a sub-problem's maps are dropped once the last one
+    that lifts them is built, and nothing recurses, so no word is too
+    long for the stack."""
+    # top down: layers[d] is (the sub-problems d steps in, uses), each
+    # sub-problem as (its tail count, the step-0 moves of the tails that
+    # have any, plan, extras).  The plan lists (p, the tails with first
+    # step p, the number b of the sub-problem of their rests in
+    # layers[d + 1]), and uses[b] counts the plans that lift it; a lone
+    # empty rest needs no sub-problem, and its b is None.  extras numbers
+    # the steps past the tails that the moves reach, which only a faulty
+    # move makes
+    layers = []
+    found = {(sequences[0].word, tuple(index)): None}  # the next layer, each sub-problem once
+    while found:
+        swap_move, left_move, right_move = (Move(kind, len(layers)) for kind in _KINDS)
+        layer = []
+        below: dict[tuple[Word, tuple[Steps, ...]], int] = {}
+        uses: list[int] = []
+        for u, tails in found:
+            local = {t: j for j, t in enumerate(tails)}
+            number = local.setdefault
+            groups: dict[int, tuple[list[int], list[Steps]]] = {}
+            for j, t in enumerate(tails):
+                if t:
+                    group = groups.get(t[0])
+                    if group is None:
+                        groups[t[0]] = ([j], [t[1:]])
+                    else:
+                        group[0].append(j)
+                        group[1].append(t[1:])
+            step0 = {}
+            plan = []
+            for p, (members, rests) in groups.items():
+                if not is_redex_at(u, p):
+                    _raise_first_fault(sequences)
+                left = _overlap_target(u, p, LEFT)
+                right = _overlap_target(u, p, RIGHT)
+                for j in members:
+                    t = tails[j]
+                    neighbours = {}
+                    if len(t) > 1 and t[1] != p - 1:
+                        swapped = swap(ReductionSequence(u, t), 0).steps
+                        neighbours[number(swapped, len(local))] = swap_move
+                    if left is not None:
+                        neighbours[number((left,) + t[1:], len(local))] = left_move
+                    if right is not None:
+                        neighbours[number((right,) + t[1:], len(local))] = right_move
+                    if neighbours:
+                        step0[j] = neighbours
+                b = None
+                if rests != [()]:
+                    b = below.setdefault((u[:p] + u[p + 2:], tuple(rests)), len(uses))
+                    if b == len(uses):
+                        uses.append(0)
+                    uses[b] += 1
+                plan.append((p, members, b))
+            extras = dict(islice(local.items(), len(tails), None))
+            layer.append((len(tails), step0, plan, extras))
+        layers.append((layer, uses))
+        found = below
+    # bottom up: solved[b] is (maps, extras) for sub-problem b of the
+    # layer below, its extras as a list of steps.  A lifted extra starts
+    # with the lifting plan's p, so it is none of the tails
+    solved: list = []
+    while layers:
+        layer, uses = layers.pop()
+        done = []
+        for count, step0, plan, extras in layer:
+            maps = [step0.get(j) or {} for j in range(count)]
+            number = extras.setdefault
+            for p, members, b in plan:
+                if b is None:
+                    continue
+                below_maps, below_extras = solved[b]
+                lift = members
+                if below_extras:
+                    lift = members + [number((p,) + t, count + len(extras)) for t in below_extras]
+                for j, below_map in zip(members, below_maps):
+                    if below_map:
+                        lifted = map(lift.__getitem__, below_map)
+                        maps[j].update(zip(lifted, below_map.values()))
+                uses[b] -= 1
+                if not uses[b]:
+                    solved[b] = None
+            done.append((maps, list(extras)))
+        solved = done
+    maps, extras = solved[0]
+    count = len(maps)
+    if extras:
+        # number the non-nodes past the nodes, in the order the maps meet them
+        steps_of = list(index) + extras
+        number = index.setdefault
+        maps = [{number(steps_of[j], len(index)): move for j, move in m.items()} for m in maps]
+    maps += [{} for _ in range(count, len(index))]
+    return dict(enumerate(maps)), index
+
+
+def _raise_first_fault(sequences: Sequence[ReductionSequence]) -> None:
+    """Raise the error of the first faulty sequence, in input order:
+    WordMismatch for a word other than the first sequence's, or what
+    run_sequence raises."""
+    word = sequences[0].word
+    for seq in sequences:
+        if seq.word != word:
+            raise WordMismatch(
+                f"sequences reduce different words ({len(word)} and {len(seq.word)} items)"
+            )
+        for _ in walk(word, seq.steps):
+            pass
 
 
 _KINDS = (SWAP, *_DIRECTION_OF)

@@ -62,16 +62,13 @@ def run_sequence(r: ReductionSequence) -> list[Word]:
     return list(walk(r.word, r.steps))
 
 
-def walk(w: Word, steps: tuple[int, ...], start: int = 0) -> Iterator[Word]:
-    """The one checked walk: w, then the word after each of
-    steps[start:].  w is the word before step start, so a caller that
-    kept the words of a shared prefix resumes from there.  Raises
-    InvalidRedex, carrying the step's index in steps, at the first step
-    that is not a redex of its word."""
+def walk(w: Word, steps: tuple[int, ...]) -> Iterator[Word]:
+    """The one checked walk: w, then the word after each step.  Raises
+    InvalidRedex, carrying the step's index, at the first step that is
+    not a redex of its word."""
     current = w
     yield current
-    for k in range(start, len(steps)):
-        p = steps[k]
+    for k, p in enumerate(steps):
         if not is_redex_at(current, p):
             raise InvalidRedex(p, current, step=k)
         current = current[:p] + current[p + 2:]

@@ -1,7 +1,12 @@
+import random
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freeword import moves
 from freeword.core import parse_word
 from freeword.errors import (
     FreewordError, IndexOutOfRange, InvalidRedex, NoOverlap, NotIndependent, ParseError,
@@ -24,7 +29,7 @@ from freeword.moves import (
     render_chain,
     swap,
 )
-from freeword.oracle import enumerate_sequences
+from freeword.oracle import enumerate_sequences, random_reducible_word
 from freeword.reduction import ReductionSequence, run_sequence, validate_sequence
 
 
@@ -52,6 +57,20 @@ CORPUS_WORDS = [
 def corpus_sequences():
     for text in CORPUS_WORDS:
         yield from enumerate_sequences(w(text))
+
+
+# neighbour_maps builds a graph with fewer than _SEQUENCES_PER_STEP
+# sequences per step node by node and a denser one by sub-problem; these
+# two values send every graph of a nonempty word node by node, or every
+# graph by sub-problem
+BOTH_PASSES = (10**9, 0)
+
+
+@contextmanager
+def sequences_per_step(count):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moves, "_SEQUENCES_PER_STEP", count)
+        yield
 
 
 def test_swap_rewrites_positions_left_case():
@@ -205,17 +224,21 @@ def test_applicable_moves_matches_single_ops():
 
 
 def test_neighbour_maps_match_applicable_moves_in_any_order():
-    # the trace reused from the previous sequence must not depend on
-    # the sequences arriving in enumeration order
-    for text in CORPUS_WORDS:
-        sequences = enumerate_sequences(w(text))
-        for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
-            maps, index = neighbour_maps(order)
-            # a correct move reaches only sequences, so no number is added
-            assert list(index) == [r.steps for r in order]
-            assert list(maps) == list(range(len(order)))
-            for i, r in enumerate(order):
-                assert [(move, order[j]) for j, move in maps[i].items()] == applicable_moves(r)
+    # the trace reused from the previous sequence, and the sub-problems
+    # the sequences share, must not depend on the sequences arriving in
+    # enumeration order
+    for count in BOTH_PASSES:
+        with sequences_per_step(count):
+            for text in CORPUS_WORDS:
+                sequences = enumerate_sequences(w(text))
+                for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
+                    maps, index = neighbour_maps(order)
+                    # a correct move reaches only sequences, so no number is added
+                    assert list(index) == [r.steps for r in order]
+                    assert list(maps) == list(range(len(order)))
+                    for i, r in enumerate(order):
+                        neighbours = [(move, order[j]) for j, move in maps[i].items()]
+                        assert neighbours == applicable_moves(r)
 
 
 @pytest.mark.parametrize("steps,position,step", [
@@ -225,9 +248,84 @@ def test_neighbour_maps_match_applicable_moves_in_any_order():
 def test_neighbour_maps_check_every_step_past_the_shared_prefix(steps, position, step):
     word = w("a a' b b'")
     bad = ReductionSequence(word, steps)  # built by hand, never validated
-    with pytest.raises(InvalidRedex) as err:
-        neighbour_maps([seq("a a' b b'", (0, 0)), bad])
-    assert (err.value.position, err.value.step) == (position, step)
+    for count in BOTH_PASSES:
+        with sequences_per_step(count), pytest.raises(InvalidRedex) as err:
+            neighbour_maps([seq("a a' b b'", (0, 0)), bad])
+        assert (err.value.position, err.value.step) == (position, step)
+
+
+@pytest.mark.parametrize("faulty,position,step", [
+    (((0, 1), (5, 0)), 1, 1),
+    (((5, 0), (0, 1)), 5, 0),
+])
+def test_neighbour_maps_raise_for_the_first_faulty_sequence_in_input_order(faulty, position,
+                                                                           step):
+    # step 0 of (5, 0) is met before step 1 of (0, 1) whatever the
+    # order, and a sequence of another word comes last
+    word = w("a a' b b'")
+    sequences = [seq("a a' b b'", (0, 0)), *(ReductionSequence(word, s) for s in faulty)]
+    for count in BOTH_PASSES:
+        with sequences_per_step(count), pytest.raises(InvalidRedex) as err:
+            neighbour_maps(sequences + [seq("b b'", (0,))])
+        assert (err.value.position, err.value.step) == (position, step)
+
+
+# fully reducible words of up to 6 pairs over 3 or 4 letters
+@st.composite
+def reducible_words(draw):
+    names = ("a", "b", "c", "d")[:draw(st.integers(3, 4))]
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return random_reducible_word(names, draw(st.integers(1, 6)), rng)
+
+
+def moved(r, move):
+    # the steps apply_move reaches, or None where it raises
+    try:
+        return apply_move(r, move).steps
+    except FreewordError:
+        return None
+
+
+MOVE_KINDS = (SWAP, OVERLAP_LEFT, OVERLAP_RIGHT)
+
+
+@settings(deadline=None)
+@given(reducible_words())
+def test_a_move_at_step_i_is_the_step_0_move_of_the_tail(word):
+    # the identity neighbour_maps rests on: the move at step i edits the
+    # tail, the steps from i on over the word left after i steps, as its
+    # step-0 move does, and raises exactly when that one raises
+    for r in enumerate_sequences(word):
+        trace = run_sequence(r)
+        for i in range(len(r.steps)):
+            tail = ReductionSequence(trace[i], r.steps[i:])
+            for kind in MOVE_KINDS:
+                edited = moved(tail, Move(kind, 0))
+                expected = None if edited is None else r.steps[:i] + edited
+                assert moved(r, Move(kind, i)) == expected
+
+
+@settings(deadline=None)
+@given(reducible_words(), st.randoms(use_true_random=False))
+def test_neighbour_maps_match_apply_move_per_node(word, rng):
+    # each node's map, entry order included, is the map apply_move gives
+    # for that node alone, in enumeration order and in a shuffled one,
+    # node by node and by sub-problem
+    sequences = enumerate_sequences(word)
+    shuffled = rng.sample(sequences, len(sequences))
+    expected = {}
+    for r in sequences:
+        expected[r.steps] = [(steps, Move(kind, at))
+                             for at in range(len(r.steps)) for kind in MOVE_KINDS
+                             if (steps := moved(r, Move(kind, at))) is not None]
+    for count in BOTH_PASSES:
+        with sequences_per_step(count):
+            for order in (sequences, shuffled):
+                maps, index = neighbour_maps(order)
+                assert list(index) == [r.steps for r in order]
+                for i, r in enumerate(order):
+                    moves_of_r = [(index[steps], move) for steps, move in expected[r.steps]]
+                    assert list(maps[i].items()) == moves_of_r
 
 
 def test_neighbour_maps_reject_sequences_of_two_words():
@@ -238,9 +336,61 @@ def test_neighbour_maps_reject_sequences_of_two_words():
 def test_neighbour_maps_number_a_neighbour_missing_from_the_sequences():
     # (2, 0) is not among the sequences, as when a faulty move reaches
     # a non-node: it gets the next free number and an empty map
-    maps, index = neighbour_maps([seq("a a' b b'", (0, 0))])
-    assert index == {(0, 0): 0, (2, 0): 1}
-    assert maps == {0: {1: Move(SWAP, 0)}, 1: {}}
+    for count in BOTH_PASSES:
+        with sequences_per_step(count):
+            maps, index = neighbour_maps([seq("a a' b b'", (0, 0))])
+        assert index == {(0, 0): 0, (2, 0): 1}
+        assert maps == {0: {1: Move(SWAP, 0)}, 1: {}}
+
+
+def test_neighbour_maps_by_sub_problem_hold_two_layers_of_tails():
+    # 101 sequences of a 202-letter word, which cancel b b' at any of the
+    # 101 steps and share few sub-problems: holding every layer's words
+    # and tails to the end peaked at 3.2 MiB, two layers at a time take
+    # 0.3 MiB
+    word = w(" ".join(["a"] * 100 + ["a'"] * 100 + ["b", "b'"]))
+    sequences = enumerate_sequences(word, len(word))
+    with sequences_per_step(0):
+        tracemalloc.start()
+        try:
+            maps, index = neighbour_maps(sequences)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(index) == len(maps) == 101
+    assert peak < 2**20
+
+
+def test_neighbour_maps_of_a_deep_word_do_not_recurse():
+    # 1,200 steps, and by sub-problem as many layers: deeper than the stack
+    word = w(" ".join(["a"] * 1200 + ["a'"] * 1200))
+    r = validate_sequence(word, range(1199, -1, -1))
+    for count in BOTH_PASSES:
+        with sequences_per_step(count):
+            assert neighbour_maps([r]) == ({0: {}}, {r.steps: 0})
+
+
+def test_neighbour_maps_number_non_nodes_in_the_order_the_maps_meet_them(monkeypatch):
+    # a swap that forgets to rewrite its positions reaches non-nodes: in
+    # any input order they are numbered past the sequences in the order
+    # the maps, read node by node, first meet them
+    def swap_without_shift(r, i):
+        steps = r.steps
+        return ReductionSequence(r.word, steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:])
+
+    monkeypatch.setattr(moves, "swap", swap_without_shift)
+    for count in BOTH_PASSES:
+        monkeypatch.setattr(moves, "_SEQUENCES_PER_STEP", count)
+        non_nodes = 0
+        for text in CORPUS_WORDS:
+            sequences = enumerate_sequences(w(text))
+            for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
+                maps, index = neighbour_maps(order)
+                met = dict.fromkeys(j for i in range(len(order)) for j in maps[i]
+                                    if j >= len(order))
+                assert list(met) == list(range(len(order), len(index)))
+                non_nodes += len(met)
+        assert non_nodes
 
 
 def test_swap_is_an_involution():
