@@ -231,11 +231,17 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     raises is a failure too, reported by its message, after its type
     unless it is a FreewordError.  Each pair must replay from start to
     target through known nodes within the k(k-1)/2 length bound, and
-    the target must also be reachable by single moves.  Its BFS distance
-    is reported alongside the chain length for comparison.  Exhaustive
-    pairs read it from one breadth-first search per start, which expands
-    each node once.  A sampled pair gets it from a search that meets in
-    the middle, forward from the start and backward from the target.
+    the target must also be reachable by single moves.  The farthest BFS
+    distance over the pairs is reported alongside the longest chain for
+    comparison.  A chain that replays to its target through edges of the
+    graph, each with the move's label, is a path: its target is
+    reachable, no farther than its length.  So only a pair whose chain
+    is no such path, or is longer than the farthest distance so far, is
+    searched, since no other can raise it or be unreachable.  Exhaustive
+    pairs read the distance from one breadth-first search per start, run
+    at its first pair searched, which expands each node once.  A sampled
+    pair gets it from a search that meets in the middle, forward from
+    the start and backward from the target.
     """
     word = graph.word
     nodes = graph.nodes
@@ -247,24 +253,22 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     bound = k * (k - 1) // 2
     sequences = _Sequences(word, nodes)
     predecessors = None
-    if count <= PAIR_THRESHOLD:
+    sampled = count > PAIR_THRESHOLD
+    if not sampled:
         runs = [(i, range(count)) for i in range(count)]
     else:
         rng = rng or random.Random(0)
         # randrange(count) draws as choice(nodes) does
         runs = [(rng.randrange(count), (rng.randrange(count),)) for _ in range(PAIR_SAMPLES)]
-        # from the adjacency itself, since a faulty move can make an
-        # edge one-way or lead it out of the node set
-        predecessors = [[] for _ in adjacency]
-        for node, others in adjacency.items():
-            for other in others:
-                predecessors[other].append(node)
     # moved[i][move] is the number of the node that move turns node i
     # into; apply_move is pure, so a move met again, from any start, is
-    # looked up.  A move that raises or leaves the node set is not
-    # stored, so it fails again on every chain holding it.  Tables hold
-    # numbers, not each other, since moves are reversible and tables
-    # would form cycles.
+    # looked up.  Only an edge of the graph with the same label is
+    # stored, so every chain replayed through the tables alone is a path
+    # of the graph.  A move that raises, leaves the node set or is no
+    # such edge, which only a faulty move makes, is not stored, so it is
+    # applied again on every chain holding it.  Tables hold numbers, not
+    # each other, since moves are reversible and tables would form
+    # cycles.
     moved: defaultdict[int, dict[Move, int]] = defaultdict(dict)
     report.pair_count = sum(len(targets) for _, targets in runs)
     longest = farthest = 0
@@ -274,7 +278,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
 
     for i, targets in runs:
         r = sequences[i]
-        dist = _distances(adjacency, i) if predecessors is None else None
+        dist = None
         for j in targets:
             try:
                 chain = transform_to(r, sequences[j])
@@ -288,6 +292,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
             if length > bound:
                 fail(i, j, None, f"chain length {length} exceeds bound {bound}")
             at = i
+            on_graph = True
             for move_index, move in enumerate(chain):
                 table = moved[at]
                 after = table.get(move)
@@ -302,14 +307,31 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
                     if after >= count:
                         fail(i, j, move_index, "intermediate sequence is not a known node")
                         break
-                    table[move] = after
+                    if adjacency[at].get(after) == move:
+                        table[move] = after
+                    else:
+                        on_graph = False
                 at = after
             else:
                 if at != j:
                     fail(i, j, None, "chain does not replay to the target")
-            if dist is None:
+                elif on_graph and length <= farthest:
+                    # the chain is a path from i to j, so j is reachable
+                    # and its distance is at most length: no search can
+                    # raise farthest or find j unreachable
+                    continue
+            if sampled:
+                if predecessors is None:
+                    # from the adjacency itself, since a faulty move can
+                    # make an edge one-way or lead it out of the node set
+                    predecessors = [[] for _ in adjacency]
+                    for node, others in adjacency.items():
+                        for other in others:
+                            predecessors[other].append(node)
                 distance = _distance(adjacency, predecessors, i, j)
             else:
+                if dist is None:
+                    dist = _distances(adjacency, i)
                 distance = dist[j]
             if distance is None:
                 fail(i, j, None, "target unreachable by single moves")

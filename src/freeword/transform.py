@@ -86,10 +86,13 @@ def front_reduction(r: ReductionSequence, p: int) -> tuple[MoveChain, ReductionS
 # node's state and p, so every edge is stored as it is made, by calls
 # that fail too, and threads racing on a node store equal moves; a state
 # two threads create at once gets two equivalent nodes.  The graph is
-# dropped at a call on another word, or at any call once it holds more
-# than _MAX_STATES states.
+# dropped at a call on another word, or at any call once its states
+# times the word's length, counted as at least 12, exceed
+# _MAX_STATE_LETTERS: a state holds a word and steps of up to that
+# length, and a shorter one costs about as much.  So a word of up to 12
+# letters keeps up to 2^14 states, and an 80-letter one up to 2,457.
 _memo: tuple | None = None
-_MAX_STATES = 2**14
+_MAX_STATE_LETTERS = 12 * 2**14
 
 
 def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
@@ -122,7 +125,7 @@ def transform_to(r: ReductionSequence, s: ReductionSequence) -> MoveChain:
             f"sequences reduce different words ({len(r.word)} and {len(s.word)} items)"
         )
     memo = _memo
-    if memo is not None and len(memo[2]) > _MAX_STATES:
+    if memo is not None and len(memo[2]) * max(len(memo[0].word), 12) > _MAX_STATE_LETTERS:
         memo = None
     if memo is None or memo[0] != r:
         validate_sequence(r.word, r.steps)

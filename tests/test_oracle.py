@@ -7,6 +7,8 @@ import tracemalloc
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeword import moves, oracle, transform
 from freeword.core import parse_word, render_word
@@ -16,6 +18,7 @@ from freeword.moves import OVERLAP_LEFT, OVERLAP_RIGHT, SWAP, Move, applicable_m
 from freeword.oracle import (
     DEFAULT_CAP,
     MoveGraph,
+    TransformFailure,
     TransformReport,
     all_words,
     build_move_graph,
@@ -734,6 +737,39 @@ def record_searches(monkeypatch, maps=None):
     return searches
 
 
+def expected_searches(graph, pairs, sampled):
+    # the searches the pair check runs on these pairs, node numbers in
+    # check order, with their results, as record_searches logs them.  A
+    # pair needs a distance when its chain is not a path of the graph to
+    # its target, move by move with the same label, or is longer than
+    # the farthest distance of the pairs before; every other target is
+    # reachable, no farther than that.  For all pairs, a start's one BFS
+    # runs at its first pair that needs a distance; a sampled pair that
+    # needs one gets its own search.  For sound transform_to and
+    # apply_move; the graph may be damaged
+    reference = {}
+    searches = []
+    farthest = 0
+    for i, j in pairs:
+        if i not in reference:
+            reference[i] = full_bfs(graph, i)
+        current = ReductionSequence(graph.word, graph.nodes[i])
+        chain = transform_to(current, ReductionSequence(graph.word, graph.nodes[j]))
+        at, path = i, True
+        for move in chain:
+            current = apply_move(current, move)
+            after = graph.index[current.steps]
+            path = path and graph.adjacency[at].get(after) == move
+            at = after
+        if not path or at != j or len(chain) > farthest:
+            if sampled:
+                searches.append((i, j, reference[i][j]))
+            elif not searches or searches[-1][0] != i:
+                searches.append((i, reference[i]))
+        farthest = max(farthest, reference[i][j] or 0)
+    return searches
+
+
 def test_move_graph_held_memory_is_bounded():
     # LARGE_WORD's graph, 2,052 nodes and 8,190 edges, numbered: what it
     # holds stays below 1.75 MiB traced (1,278 KiB).  Keyed by step
@@ -825,18 +861,27 @@ def test_searches_run_over_the_graph_adjacency_itself(monkeypatch):
     # no search gets a successor map rebuilt from the adjacency:
     # check_connected, a start's BFS and a sampled pair's two-sided
     # search are all handed graph.adjacency itself, and search from
-    # node numbers, not step tuples
+    # node numbers, not step tuples.  Past check_connected's, the pair
+    # check runs one BFS on EXHAUSTIVE_WORD and 7 sampled searches on
+    # LARGE_WORD
     maps = []
     searches = record_searches(monkeypatch, maps)
-    for text in [EXHAUSTIVE_WORD, LARGE_WORD]:
+    for text, count in [(EXHAUSTIVE_WORD, 2), (LARGE_WORD, 8)]:
         graph = build_move_graph(w(text))
         del maps[:], searches[:]
         assert check_connected(graph)
         assert check_pairs(graph, random.Random(0)).ok
-        assert len(maps) == len(searches) > 1
+        assert len(maps) == len(searches) == count
         assert all(m is graph.adjacency for m in maps)
         assert all(type(n) is int for search in searches for n in search[:-1])
-    assert {len(search) for search in searches} == {2, 3}
+    assert {len(search) for search in searches[1:]} == {3}
+
+
+# the searches check_pairs runs on these words and seeds: one BFS where
+# every start had one (150), and a few sampled searches where every
+# sampled pair had one (50)
+SEARCH_COUNTS = {(EXHAUSTIVE_WORD, 0): 1, (LARGE_WORD, 0): 7, (LARGE_WORD, 1): 6,
+                 (LARGE_WORD, 2): 3}
 
 
 @pytest.mark.parametrize("text,samples,seed", [
@@ -846,6 +891,9 @@ def test_searches_run_over_the_graph_adjacency_itself(monkeypatch):
     (LARGE_WORD, oracle.PAIR_SAMPLES, 2),
 ])
 def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, samples, seed):
+    # only a pair whose chain is longer than the farthest distance so
+    # far is searched, yet the distance over all pairs is still the
+    # farthest a full BFS finds
     graph = build_move_graph(w(text))
     pairs = record_pairs(monkeypatch)
     searches = record_searches(monkeypatch)
@@ -855,11 +903,9 @@ def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, samples, seed
     numbers = numbered(graph, pairs)
     reference = {start: full_bfs(graph, start) for start in {s for s, _ in numbers}}
     if samples is None:
-        # every pair reads its distance from its start's one search
         assert [s for s, _ in pairs] == [s for s in graph.nodes for _ in graph.nodes]
-        assert searches == [(start, reference[start]) for start in range(len(graph.nodes))]
-    else:
-        assert searches == [(s, t, reference[s][t]) for s, t in numbers]
+    assert searches == expected_searches(graph, numbers, samples is not None)
+    assert len(searches) == SEARCH_COUNTS[text, seed]
     assert report.max_bfs_distance == max(reference[s][t] for s, t in numbers)
 
 
@@ -924,10 +970,13 @@ def damaged_graph(graph, rng):
 @pytest.mark.parametrize("text", ["a a' a a' a a'", "a a' b b' a a' b b'", EXHAUSTIVE_WORD,
                                   SWEEP_WORD])
 def test_sampled_distances_on_damaged_graphs_match_a_full_bfs(monkeypatch, text):
-    # every pair's distance, or its unreachable target, is what a full
-    # one-sided search finds, however one-way the graph is: first with
-    # every pair sampled, then with PAIR_THRESHOLD at its default, under
-    # which every pair of these words is checked
+    # every unreachable target, and the farthest distance, are what a
+    # full one-sided search from every pair finds, however one-way the
+    # graph is, and every search that runs finds what it finds: first
+    # with every pair sampled, then with PAIR_THRESHOLD at its default,
+    # under which every pair of these words is checked.  A pair is
+    # searched unless its chain is a path of the damaged graph to the
+    # target, no longer than the farthest distance so far
     pairs = record_pairs(monkeypatch)
     searches = record_searches(monkeypatch)
     reason = "target unreachable by single moves"
@@ -943,10 +992,9 @@ def test_sampled_distances_on_damaged_graphs_match_a_full_bfs(monkeypatch, text)
             reference = {start: full_bfs(damaged, start) for start in {s for s, _ in numbers}}
             if threshold == 2:
                 assert len(pairs) == report.pair_count == oracle.PAIR_SAMPLES
-                assert searches == [(s, t, reference[s][t]) for s, t in numbers]
             else:
                 assert len(pairs) == report.pair_count == len(graph.nodes) ** 2
-                assert searches == [(start, reference[start]) for start in range(len(graph.nodes))]
+            assert searches == expected_searches(damaged, numbers, threshold == 2)
             unreachable = [(s, t, reason) for (s, t), (i, j) in zip(pairs, numbers)
                            if reference[i][j] is None]
             assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
@@ -955,6 +1003,92 @@ def test_sampled_distances_on_damaged_graphs_match_a_full_bfs(monkeypatch, text)
             seen.update("same" if i == j else "unreachable" if reference[i][j] is None
                         else "reachable" for i, j in numbers)
         assert seen == {"same", "unreachable", "reachable"}
+
+
+def every_pair_searched(graph, pairs):
+    # reference for check_pairs on these pairs, node numbers in check
+    # order: no table of applied moves and no skipped search, so every
+    # chain is replayed from its start and every pair's distance is read
+    # from a full BFS from its start
+    word, nodes = graph.word, graph.nodes
+    k = len(word) // 2
+    bound = k * (k - 1) // 2
+    report = TransformReport(word, pair_count=len(pairs))
+    reference = {}
+
+    def fail(i, j, move_index, reason):
+        report.failures.append(TransformFailure(word, nodes[i], nodes[j], move_index, reason))
+
+    for i, j in pairs:
+        current = ReductionSequence(word, nodes[i])
+        try:
+            chain = oracle.transform_to(current, ReductionSequence(word, nodes[j]))
+        except Exception as err:
+            fail(i, j, None, oracle._reason(err))
+            continue
+        report.max_chain_length = max(report.max_chain_length, len(chain))
+        if len(chain) > bound:
+            fail(i, j, None, f"chain length {len(chain)} exceeds bound {bound}")
+        for move_index, move in enumerate(chain):
+            try:
+                current = apply_move(current, move)
+            except Exception as err:
+                fail(i, j, move_index, oracle._reason(err))
+                break
+            if graph.index.get(current.steps, len(nodes)) >= len(nodes):
+                fail(i, j, move_index, "intermediate sequence is not a known node")
+                break
+        else:
+            if current.steps != nodes[j]:
+                fail(i, j, None, "chain does not replay to the target")
+        if i not in reference:
+            reference[i] = full_bfs(graph, i)
+        if reference[i][j] is None:
+            fail(i, j, None, "target unreachable by single moves")
+        else:
+            report.max_bfs_distance = max(report.max_bfs_distance, reference[i][j])
+    return report
+
+
+@st.composite
+def pair_checks(draw):
+    # a fully reducible word, a seeded defect or none, a damaged graph
+    # seed or none, and either every pair or a number of sampled pairs;
+    # every pair only of words up to 6 letters, so the reference stays
+    # quick
+    samples = draw(st.none() | st.integers(1, 40))
+    names = draw(st.sampled_from([("a",), ("a", "b")]))
+    pairs = draw(st.integers(1, 3 if samples is None else 4))
+    word = random_reducible_word(names, pairs, random.Random(draw(st.integers(0, 2**16))))
+    defect = draw(st.sampled_from([None, *SEEDED_DEFECTS]))
+    damage = draw(st.none() | st.integers(0, 2**16))
+    return word, defect, damage, samples, draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None)
+@given(pair_checks())
+def test_check_pairs_matches_every_pair_searched(case):
+    # the same report, failures in order included, as a check that
+    # replays every chain from its start and searches for every pair,
+    # on sound and damaged graphs, under each seeded defect
+    word, defect, damage, samples, seed = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "_memo", None)
+        if defect is not None:
+            patch.setattr(*defect)
+        graph = build_move_graph(word)
+        count = len(graph.nodes)
+        if damage is not None and len(graph.adjacency) == count:
+            # damaged_graph numbers its own strays past the nodes
+            graph = damaged_graph(graph, random.Random(damage))
+        if samples is None:
+            pairs = [(i, j) for i in range(count) for j in range(count)]
+        else:
+            patch.setattr(oracle, "PAIR_THRESHOLD", 0)
+            patch.setattr(oracle, "PAIR_SAMPLES", samples)
+            rng = random.Random(seed)
+            pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(samples)]
+        assert check_pairs(graph, random.Random(seed)) == every_pair_searched(graph, pairs)
 
 
 class CountingMap(list):
@@ -1010,30 +1144,40 @@ def test_check_pairs_search_stops_at_the_target(monkeypatch):
     assert check_pairs(graph, random.Random(0)).ok
     assert forward and backward
     assert {node for _, node in forward + backward} <= set(range(len(graph.nodes)))
-    # a full BFS expands every node of this connected graph once
-    assert len(forward) + len(backward) < len({s for s, _ in pairs}) * len(graph.nodes)
+    # a full BFS expands every node of this connected graph once; the
+    # searches run from 7 of the 50 sampled starts
+    starts = {s for s, _ in forward + backward}
+    assert starts <= {s for s, _ in numbered(graph, pairs)}
+    assert len(starts) == 7
+    assert len(forward) + len(backward) < len(starts) * len(graph.nodes)
 
     del forward[:], backward[:]
     graph = build_move_graph(w(EXHAUSTIVE_WORD))
     assert check_pairs(graph).ok
-    # one search per start, which expands each node of this connected
-    # graph once, and no search backward
+    # one search, from the first start, which expands each node of this
+    # connected graph once, and no search backward; with a search per
+    # start, 150 expanded 22,500 nodes
     assert not backward
-    assert len(set(forward)) == len(forward) == len(graph.nodes) ** 2
+    assert len(set(forward)) == len(forward) == len(graph.nodes)
+    assert {s for s, _ in forward} == {0}
 
 
 def test_check_pairs_sampled_searches_meet_in_the_middle(monkeypatch):
-    # both sides of the sampled searches together expand under 30 % of
+    # both sides of the 7 sampled searches together expand under 40 % of
     # the nodes that one-sided searches stopping at the same targets
-    # expand (27.6 %: 12,524 against 45,418, both pinned)
+    # expand (35.9 %: 3,316 against 9,247, both pinned).  One-sided
+    # searches for all 50 pairs would expand 45,418 (pinned), and
+    # two-sided ones 12,524
     pairs = record_pairs(monkeypatch)
     forward, backward = count_expansions(monkeypatch)
     searches = record_searches(monkeypatch)
     graph = build_move_graph(w(LARGE_WORD))
     assert check_pairs(graph, random.Random(0)).ok
-    assert len(pairs) == len(searches) == oracle.PAIR_SAMPLES
+    assert len(pairs) == oracle.PAIR_SAMPLES
+    assert len(searches) == 7
     assert forward and backward
-    one_sided = sum(expanded_until(graph, start, target)
-                    for start, target in numbered(graph, pairs))
-    assert len(forward) + len(backward) < 0.3 * one_sided
-    assert (len(forward) + len(backward), one_sided) == (12524, 45418)
+    one_sided = sum(expanded_until(graph, start, target) for start, target, _ in searches)
+    every_pair = sum(expanded_until(graph, start, target)
+                     for start, target in numbered(graph, pairs))
+    assert len(forward) + len(backward) < 0.4 * one_sided
+    assert (len(forward) + len(backward), one_sided, every_pair) == (3316, 9247, 45418)

@@ -359,11 +359,12 @@ def test_transform_to_with_the_memo_matches_cold_calls(calls):
 
 @given(memo_calls())
 def test_transform_to_with_a_small_bound_matches_cold_calls(calls):
-    # a bound of 4 states drops the graph at most calls; after each call
-    # the graph holds at most the bound plus the k states of the last call
-    # that walked it, from the memo's start
+    # a bound of 48 state letters, 4 states of these words of up to 12
+    # letters, drops the graph at most calls; after each call the graph
+    # holds at most the bound plus the k states of the last call that
+    # walked it, from the memo's start
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transform, "_MAX_STATES", 4)
+        patch.setattr(transform, "_MAX_STATE_LETTERS", 48)
         transform._memo = None
         warm = []
         for r, s in calls:
@@ -630,9 +631,10 @@ def test_transform_to_from_a_fresh_start_stores_every_level(monkeypatch):
 @pytest.mark.parametrize("starts", ["one", "fresh"])
 def test_transform_to_memory_is_bounded(starts):
     # 1,000 calls on an 80-letter word, from one start or from a fresh
-    # start each, to random targets: the graph is dropped once it holds
-    # more than _MAX_STATES states, so what the memo holds after them
-    # stays under 8 MiB traced
+    # start each, to random targets: the graph is dropped once its states
+    # times 80 exceed _MAX_STATE_LETTERS, so what the memo holds after
+    # them, and the peak on the way, stay under 8 MiB traced (3.9 MiB
+    # peak; a bound of 2^14 states on every word peaked at 25 MiB)
     rng = random.Random(80)
     word = random_reducible_word(("a", "b", "c"), 40, rng)
     pairs = [(random_sequence(word, rng), random_sequence(word, rng)) for _ in range(1000)]
@@ -643,11 +645,11 @@ def test_transform_to_memory_is_bounded(starts):
     try:
         for r, s in pairs:
             transform_to(r, s)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         transform._memo = None
-    assert held < 8 * 2**20
+    assert held <= peak < 8 * 2**20
 
 
 # One start contract: a hand-built start raises what validate_sequence
