@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import Word, is_redex_at
 from .errors import (
-    FreewordError, IndexOutOfRange, InvalidArgument, InvalidRedex, NoOverlap, NotIndependent,
+    FreewordError, IndexOutOfRange, InvalidArgument, NoOverlap, NotIndependent,
     ParseError, WordMismatch,
 )
 from .reduction import POSITION_PATTERN, ReductionSequence, walk
@@ -164,10 +164,6 @@ def neighbour_maps(
     move is dropped.  A sequence of another word raises WordMismatch
     and a step that is no redex raises InvalidRedex, as run_sequence
     does: either way the first faulty sequence's error, in input order.
-
-    A graph with at least _SEQUENCES_PER_STEP sequences per step is
-    built by sub-problem, a sparser one node by node; both give the
-    same maps.
     """
     index = {seq.steps: i for i, seq in enumerate(sequences)}
     if not sequences:
@@ -175,63 +171,7 @@ def neighbour_maps(
     word = sequences[0].word
     if any(seq.word != word for seq in sequences):
         _raise_first_fault(sequences)
-    if len(sequences) < _SEQUENCES_PER_STEP * len(sequences[0].steps):
-        return _maps_node_by_node(sequences, index)
     return _maps_by_sub_problem(sequences, index)
-
-
-# Below this many sequences per step few sub-problems coincide, and
-# finding and lifting them costs more than it saves.  Timed against node
-# by node on words of 1 to 3 letters and 4 to 42 pairs (Python 3.11,
-# 2-core Xeon), by sub-problem took 1.0 to 1.5 times as long at 1 to 7
-# sequences per step, 0.8 to 1.06 times at 8 to 24, and 0.4 to 0.9
-# times from 28 on
-_SEQUENCES_PER_STEP = 8
-
-
-def _maps_node_by_node(
-    sequences: Sequence[ReductionSequence], index: dict[Steps, int],
-) -> tuple[dict[int, dict[int, Move]], dict[Steps, int]]:
-    """neighbour_maps in one pass over the nodes: the trace of the
-    current sequence is kept, and only the words past the steps it
-    shares with the previous sequence are walked again.  Sequences in
-    lexicographic order, as enumeration yields them, share most of
-    their steps.  Each Move is built once, and each neighbour's steps
-    are hashed once, into index."""
-    maps: dict[int, dict[int, Move]] = {}
-    trace = [sequences[0].word]  # trace[j]: the word before step j of the last sequence
-    last: Steps = ()
-    table: list[tuple[Move, list[tuple[Move, str]]]] = []  # the moves at each step index
-    number = index.setdefault
-    for seq in sequences:
-        steps = seq.steps
-        shared = 0
-        for p, q in zip(steps, last):
-            if p != q:
-                break
-            shared += 1
-        try:
-            trace[shared:] = walk(trace[shared], steps[shared:])
-        except InvalidRedex:
-            _raise_first_fault(sequences)  # with the step's index in steps
-        last = steps
-        k = len(steps)
-        table.extend(
-            (Move(SWAP, i), [(Move(kind, i), side) for kind, side in _DIRECTION_OF.items()])
-            for i in range(len(table), k)
-        )
-        neighbours = maps[len(maps)] = {}
-        for i, p in enumerate(steps):
-            swap_move, switches = table[i]
-            if i + 1 < k and steps[i + 1] != p - 1:
-                neighbours[number(swap(seq, i).steps, len(index))] = swap_move
-            for move, direction in switches:
-                target = _overlap_target(trace[i], p, direction)
-                if target is not None:
-                    neighbours[number(steps[:i] + (target,) + steps[i + 1:], len(index))] = move
-    for j in range(len(maps), len(index)):
-        maps[j] = {}
-    return maps, index
 
 
 def _maps_by_sub_problem(

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -57,20 +56,6 @@ CORPUS_WORDS = [
 def corpus_sequences():
     for text in CORPUS_WORDS:
         yield from enumerate_sequences(w(text))
-
-
-# neighbour_maps builds a graph with fewer than _SEQUENCES_PER_STEP
-# sequences per step node by node and a denser one by sub-problem; these
-# two values send every graph of a nonempty word node by node, or every
-# graph by sub-problem
-BOTH_PASSES = (10**9, 0)
-
-
-@contextmanager
-def sequences_per_step(count):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(moves, "_SEQUENCES_PER_STEP", count)
-        yield
 
 
 def test_swap_rewrites_positions_left_case():
@@ -224,21 +209,18 @@ def test_applicable_moves_matches_single_ops():
 
 
 def test_neighbour_maps_match_applicable_moves_in_any_order():
-    # the trace reused from the previous sequence, and the sub-problems
-    # the sequences share, must not depend on the sequences arriving in
-    # enumeration order
-    for count in BOTH_PASSES:
-        with sequences_per_step(count):
-            for text in CORPUS_WORDS:
-                sequences = enumerate_sequences(w(text))
-                for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
-                    maps, index = neighbour_maps(order)
-                    # a correct move reaches only sequences, so no number is added
-                    assert list(index) == [r.steps for r in order]
-                    assert list(maps) == list(range(len(order)))
-                    for i, r in enumerate(order):
-                        neighbours = [(move, order[j]) for j, move in maps[i].items()]
-                        assert neighbours == applicable_moves(r)
+    # the sub-problems the sequences share must not depend on the
+    # sequences arriving in enumeration order
+    for text in CORPUS_WORDS:
+        sequences = enumerate_sequences(w(text))
+        for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
+            maps, index = neighbour_maps(order)
+            # a correct move reaches only sequences, so no number is added
+            assert list(index) == [r.steps for r in order]
+            assert list(maps) == list(range(len(order)))
+            for i, r in enumerate(order):
+                neighbours = [(move, order[j]) for j, move in maps[i].items()]
+                assert neighbours == applicable_moves(r)
 
 
 @pytest.mark.parametrize("steps,position,step", [
@@ -248,10 +230,9 @@ def test_neighbour_maps_match_applicable_moves_in_any_order():
 def test_neighbour_maps_check_every_step_past_the_shared_prefix(steps, position, step):
     word = w("a a' b b'")
     bad = ReductionSequence(word, steps)  # built by hand, never validated
-    for count in BOTH_PASSES:
-        with sequences_per_step(count), pytest.raises(InvalidRedex) as err:
-            neighbour_maps([seq("a a' b b'", (0, 0)), bad])
-        assert (err.value.position, err.value.step) == (position, step)
+    with pytest.raises(InvalidRedex) as err:
+        neighbour_maps([seq("a a' b b'", (0, 0)), bad])
+    assert (err.value.position, err.value.step) == (position, step)
 
 
 @pytest.mark.parametrize("faulty,position,step", [
@@ -264,10 +245,9 @@ def test_neighbour_maps_raise_for_the_first_faulty_sequence_in_input_order(fault
     # order, and a sequence of another word comes last
     word = w("a a' b b'")
     sequences = [seq("a a' b b'", (0, 0)), *(ReductionSequence(word, s) for s in faulty)]
-    for count in BOTH_PASSES:
-        with sequences_per_step(count), pytest.raises(InvalidRedex) as err:
-            neighbour_maps(sequences + [seq("b b'", (0,))])
-        assert (err.value.position, err.value.step) == (position, step)
+    with pytest.raises(InvalidRedex) as err:
+        neighbour_maps(sequences + [seq("b b'", (0,))])
+    assert (err.value.position, err.value.step) == (position, step)
 
 
 # fully reducible words of up to 6 pairs over 3 or 4 letters
@@ -309,23 +289,31 @@ def test_a_move_at_step_i_is_the_step_0_move_of_the_tail(word):
 @given(reducible_words(), st.randoms(use_true_random=False))
 def test_neighbour_maps_match_apply_move_per_node(word, rng):
     # each node's map, entry order included, is the map apply_move gives
-    # for that node alone, in enumeration order and in a shuffled one,
-    # node by node and by sub-problem
+    # for that node alone, in enumeration order, in a shuffled one and
+    # for a random nonempty proper subset.  The subset's moves reach
+    # neighbours outside it: these are numbered past the subset in the
+    # order the maps meet them, each with an empty map
     sequences = enumerate_sequences(word)
-    shuffled = rng.sample(sequences, len(sequences))
+    orders = [sequences, rng.sample(sequences, len(sequences))]
+    if len(sequences) > 1:
+        orders.append(rng.sample(sequences, rng.randint(1, len(sequences) - 1)))
     expected = {}
     for r in sequences:
         expected[r.steps] = [(steps, Move(kind, at))
                              for at in range(len(r.steps)) for kind in MOVE_KINDS
                              if (steps := moved(r, Move(kind, at))) is not None]
-    for count in BOTH_PASSES:
-        with sequences_per_step(count):
-            for order in (sequences, shuffled):
-                maps, index = neighbour_maps(order)
-                assert list(index) == [r.steps for r in order]
-                for i, r in enumerate(order):
-                    moves_of_r = [(index[steps], move) for steps, move in expected[r.steps]]
-                    assert list(maps[i].items()) == moves_of_r
+    for order in orders:
+        maps, index = neighbour_maps(order)
+        nodes = [r.steps for r in order]
+        inside = set(nodes)
+        met = dict.fromkeys(steps for r in nodes for steps, _ in expected[r]
+                            if steps not in inside)
+        assert list(index) == nodes + list(met)
+        assert list(maps) == list(range(len(index)))
+        for i, r in enumerate(order):
+            moves_of_r = [(index[steps], move) for steps, move in expected[r.steps]]
+            assert list(maps[i].items()) == moves_of_r
+        assert all(maps[j] == {} for j in range(len(order), len(index)))
 
 
 def test_neighbour_maps_reject_sequences_of_two_words():
@@ -336,11 +324,9 @@ def test_neighbour_maps_reject_sequences_of_two_words():
 def test_neighbour_maps_number_a_neighbour_missing_from_the_sequences():
     # (2, 0) is not among the sequences, as when a faulty move reaches
     # a non-node: it gets the next free number and an empty map
-    for count in BOTH_PASSES:
-        with sequences_per_step(count):
-            maps, index = neighbour_maps([seq("a a' b b'", (0, 0))])
-        assert index == {(0, 0): 0, (2, 0): 1}
-        assert maps == {0: {1: Move(SWAP, 0)}, 1: {}}
+    maps, index = neighbour_maps([seq("a a' b b'", (0, 0))])
+    assert index == {(0, 0): 0, (2, 0): 1}
+    assert maps == {0: {1: Move(SWAP, 0)}, 1: {}}
 
 
 def test_neighbour_maps_by_sub_problem_hold_two_layers_of_tails():
@@ -350,13 +336,12 @@ def test_neighbour_maps_by_sub_problem_hold_two_layers_of_tails():
     # 0.3 MiB
     word = w(" ".join(["a"] * 100 + ["a'"] * 100 + ["b", "b'"]))
     sequences = enumerate_sequences(word, len(word))
-    with sequences_per_step(0):
-        tracemalloc.start()
-        try:
-            maps, index = neighbour_maps(sequences)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        maps, index = neighbour_maps(sequences)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert len(index) == len(maps) == 101
     assert peak < 2**20
 
@@ -370,7 +355,6 @@ def test_neighbour_maps_by_sub_problem_drop_maps_once_lifted():
     # to 2,018 KiB, 40 % over
     word = w("a' a a a' a' a a a' a a' a a'")
     sequences = enumerate_sequences(word)
-    assert len(sequences) >= moves._SEQUENCES_PER_STEP * len(sequences[0].steps)
     tracemalloc.start()
     try:
         maps, index = neighbour_maps(sequences)
@@ -385,32 +369,28 @@ def test_neighbour_maps_of_a_deep_word_do_not_recurse():
     # 1,200 steps, and by sub-problem as many layers: deeper than the stack
     word = w(" ".join(["a"] * 1200 + ["a'"] * 1200))
     r = validate_sequence(word, range(1199, -1, -1))
-    for count in BOTH_PASSES:
-        with sequences_per_step(count):
-            assert neighbour_maps([r]) == ({0: {}}, {r.steps: 0})
+    assert neighbour_maps([r]) == ({0: {}}, {r.steps: 0})
 
 
 def test_neighbour_maps_number_non_nodes_in_the_order_the_maps_meet_them(monkeypatch):
     # a swap that forgets to rewrite its positions reaches non-nodes: in
     # any input order they are numbered past the sequences in the order
-    # the maps, read node by node, first meet them
+    # the maps, read in node order, first meet them
     def swap_without_shift(r, i):
         steps = r.steps
         return ReductionSequence(r.word, steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:])
 
     monkeypatch.setattr(moves, "swap", swap_without_shift)
-    for count in BOTH_PASSES:
-        monkeypatch.setattr(moves, "_SEQUENCES_PER_STEP", count)
-        non_nodes = 0
-        for text in CORPUS_WORDS:
-            sequences = enumerate_sequences(w(text))
-            for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
-                maps, index = neighbour_maps(order)
-                met = dict.fromkeys(j for i in range(len(order)) for j in maps[i]
-                                    if j >= len(order))
-                assert list(met) == list(range(len(order), len(index)))
-                non_nodes += len(met)
-        assert non_nodes
+    non_nodes = 0
+    for text in CORPUS_WORDS:
+        sequences = enumerate_sequences(w(text))
+        for order in (sequences, sequences[::-1], sequences[1::2] + sequences[::2]):
+            maps, index = neighbour_maps(order)
+            met = dict.fromkeys(j for i in range(len(order)) for j in maps[i]
+                                if j >= len(order))
+            assert list(met) == list(range(len(order), len(index)))
+            non_nodes += len(met)
+    assert non_nodes
 
 
 def test_swap_is_an_involution():

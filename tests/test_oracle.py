@@ -787,11 +787,12 @@ def test_move_graph_held_memory_is_bounded():
 
 
 def test_move_graph_work_and_peak_are_pinned(monkeypatch):
-    # LARGE_WORD's graph, built by sub-problem, finds the step-0 moves of
-    # each sub-problem once: 3,352 swap and 240 _overlap_target calls,
-    # where building it node by node made 9,180 and 24,624.  The traced
-    # peak stays below 2.1 MiB: 1,850 KiB, against 1,428 KiB node by node
-    # and 1,973 KiB if no sub-problem's maps were dropped once lifted
+    # LARGE_WORD's graph finds the step-0 moves of each sub-problem once:
+    # 3,352 swap and 240 _overlap_target calls, where testing each node's
+    # moves without shared sub-problems makes 9,180 and 24,624.  The
+    # traced peak stays below 2.1 MiB: 1,850 KiB, against 1,428 KiB
+    # without shared sub-problems and 1,973 KiB if no sub-problem's maps
+    # were dropped once lifted
     word = w(LARGE_WORD)
     gc.collect()
     tracemalloc.start()
