@@ -19,7 +19,6 @@ index edited; chains are comma separated.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Word, is_redex_at
@@ -65,7 +64,8 @@ def swap(r: ReductionSequence, i: int) -> ReductionSequence:
     and checks only i and the nesting, so a hand-built sequence that is
     not a reduction gives another one without an error; validate such
     a sequence first.  Checking the steps here, by replaying the prefix,
-    made long apply_chain calls two thirds slower.
+    made long apply_chain calls two thirds slower.  Steps i and i+1 are
+    rewritten from those two steps alone, which neighbour_maps relies on.
     """
     steps = r.steps
     if not 0 <= i < len(steps) - 1:
@@ -186,20 +186,23 @@ def _maps_by_sub_problem(
     reach it.  Top down, the sub-problems are found one step at a time,
     with the step-0 moves of their tails; bottom up, a tail's map is its
     step-0 moves followed by its own tail's map, whose numbers are
-    lifted to the tails they stand for.  Every way into a sub-problem
-    takes the same number of steps, so its moves already carry their
-    step index in the sequences.  Only two layers of words and tails are
-    held at a time, a sub-problem's maps are dropped once the last one
-    that lifts them is built, and nothing recurses, so no word is too
-    long for the stack."""
+    lifted to the tails they stand for.  A step-0 move edits only the
+    first steps: swap is called once per block of tails with the same
+    first two steps, and each neighbour is found by its rest among the
+    tails that start as it does, by position where both lists of rests
+    are equal.  Every way into a sub-problem takes the same number of
+    steps, so its moves already carry their step index in the
+    sequences.  Only two layers of words and tails are held at a time,
+    a sub-problem's maps are dropped once the last one that lifts them
+    is built, and nothing recurses, so no word is too long for the
+    stack."""
     # top down: layers[d] is (the sub-problems d steps in, uses), each
-    # sub-problem as (its tail count, the step-0 moves of the tails that
-    # have any, plan, extras).  The plan lists (p, the tails with first
+    # sub-problem as (a map per tail, holding its step-0 moves until it
+    # is lifted, plan, extras).  The plan lists (p, the tails with first
     # step p, the number b of the sub-problem of their rests in
     # layers[d + 1]), and uses[b] counts the plans that lift it; a lone
-    # empty rest needs no sub-problem, and its b is None.  extras numbers
-    # the steps past the tails that the moves reach, which only a faulty
-    # move makes
+    # empty rest needs no sub-problem, and its b is None.  extras numbers,
+    # past the tails, the steps that the moves reach and no tail has
     layers = []
     found = {(sequences[0].word, tuple(index)): None}  # the next layer, each sub-problem once
     while found:
@@ -208,8 +211,8 @@ def _maps_by_sub_problem(
         below: dict[tuple[Word, tuple[Steps, ...]], int] = {}
         uses: list[int] = []
         for u, tails in found:
-            local = {t: j for j, t in enumerate(tails)}
-            number = local.setdefault
+            # groups[p] and blocks[p, q] are (the tails with first steps p and
+            # p, q, their rests): blocks come last, to leave no gaps when dropped
             groups: dict[int, tuple[list[int], list[Steps]]] = {}
             for j, t in enumerate(tails):
                 if t:
@@ -219,25 +222,32 @@ def _maps_by_sub_problem(
                     else:
                         group[0].append(j)
                         group[1].append(t[1:])
-            step0 = {}
+            blocks: dict[Steps, tuple[list[int], list[Steps]]] = {}
+            for j, t in enumerate(tails):
+                if len(t) > 1:
+                    block = blocks.get(t[:2])
+                    if block is None:
+                        blocks[t[:2]] = ([j], [t[2:]])
+                    else:
+                        block[0].append(j)
+                        block[1].append(t[2:])
+            step0, extras = [{} for _ in tails], {}
+            for pq, (block, block_rests) in blocks.items():
+                if pq[1] != pq[0] - 1:
+                    head = swap(ReductionSequence(u, pq), 0).steps
+                    numbers = _numbers(blocks.get(head), block_rests, head, extras, len(tails))
+                    for j, n in zip(block, numbers):
+                        step0[j][n] = swap_move
             plan = []
             for p, (members, rests) in groups.items():
                 if not is_redex_at(u, p):
                     _raise_first_fault(sequences)
-                left = _overlap_target(u, p, LEFT)
-                right = _overlap_target(u, p, RIGHT)
-                for j in members:
-                    t = tails[j]
-                    neighbours = {}
-                    if len(t) > 1 and t[1] != p - 1:
-                        swapped = swap(ReductionSequence(u, t), 0).steps
-                        neighbours[number(swapped, len(local))] = swap_move
-                    if left is not None:
-                        neighbours[number((left,) + t[1:], len(local))] = left_move
-                    if right is not None:
-                        neighbours[number((right,) + t[1:], len(local))] = right_move
-                    if neighbours:
-                        step0[j] = neighbours
+                for move, side in ((left_move, LEFT), (right_move, RIGHT)):
+                    x = _overlap_target(u, p, side)
+                    if x is not None:
+                        numbers = _numbers(groups.get(x), rests, (x,), extras, len(tails))
+                        for j, n in zip(members, numbers):
+                            step0[j][n] = move
                 b = None
                 if rests != [()]:
                     b = below.setdefault((u[:p] + u[p + 2:], tuple(rests)), len(uses))
@@ -245,8 +255,7 @@ def _maps_by_sub_problem(
                         uses.append(0)
                     uses[b] += 1
                 plan.append((p, members, b))
-            extras = dict(islice(local.items(), len(tails), None))
-            layer.append((len(tails), step0, plan, extras))
+            layer.append((step0, plan, extras))
         layers.append((layer, uses))
         found = below
     # bottom up: solved[b] is (maps, extras) for sub-problem b of the
@@ -256,8 +265,8 @@ def _maps_by_sub_problem(
     while layers:
         layer, uses = layers.pop()
         done = []
-        for count, step0, plan, extras in layer:
-            maps = [step0.get(j) or {} for j in range(count)]
+        for maps, plan, extras in layer:
+            count = len(maps)
             number = extras.setdefault
             for p, members, b in plan:
                 if b is None:
@@ -284,6 +293,18 @@ def _maps_by_sub_problem(
         maps = [{number(steps_of[j], len(index)): move for j, move in m.items()} for m in maps]
     maps += [{} for _ in range(count, len(index))]
     return dict(enumerate(maps)), index
+
+
+def _numbers(target: tuple[Sequence[int], list[Steps]] | None, rests: list[Steps],
+             head: Steps, extras: dict[Steps, int], count: int) -> Sequence[int]:
+    """Number head + rest for each rest: as target's tail with that rest, by
+    position where target's rests are equal, else as a new extra past count."""
+    if target and target[1] == rests:
+        return target[0]
+    at = dict(zip(target[1], target[0])) if target else {}
+    number = extras.setdefault
+    return [at[rest] if rest in at else number(head + rest, count + len(extras))
+            for rest in rests]
 
 
 def _raise_first_fault(sequences: Sequence[ReductionSequence]) -> None:

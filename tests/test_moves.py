@@ -286,13 +286,55 @@ def test_a_move_at_step_i_is_the_step_0_move_of_the_tail(word):
 
 
 @settings(deadline=None)
+@given(reducible_words())
+def test_a_swap_edits_only_its_two_steps(word):
+    # the identity the move graph's one swap call per block of tails
+    # rests on: swap rewrites steps i and i+1 from those two steps alone,
+    # on the word left after i steps, and keeps every other step
+    for r in enumerate_sequences(word):
+        trace = run_sequence(r)
+        for i in range(len(r.steps) - 1):
+            if r.steps[i + 1] != r.steps[i] - 1:
+                pair = swap(ReductionSequence(trace[i], r.steps[i:i + 2]), 0).steps
+                assert swap(r, i).steps == r.steps[:i] + pair + r.steps[i + 2:]
+
+
+def swap_without_shift(r, i):
+    # refuses what swap refuses, a nested pair or a step with no next
+    # step, but exchanges the positions of any other pair without
+    # rewriting them
+    swap(r, i)
+    steps = r.steps
+    return ReductionSequence(r.word, steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:])
+
+
+@settings(deadline=None)
 @given(reducible_words(), st.randoms(use_true_random=False))
 def test_neighbour_maps_match_apply_move_per_node(word, rng):
+    expected = assert_neighbour_maps_match_apply_move(word, rng)
+    # distinct sound moves from a node reach distinct neighbours, so its
+    # map keeps every move apply_move accepts
+    assert all(len(dict(accepted)) == len(accepted) for accepted in expected.values())
+
+
+@settings(deadline=None)
+@given(reducible_words(), st.randoms(use_true_random=False))
+def test_neighbour_maps_match_apply_move_per_node_under_a_faulty_swap(word, rng):
+    # the faulty swap reaches non-nodes even from every reduction, and
+    # two of its moves from one node may reach the same steps, whose map
+    # keeps the first one's place and the last one's move
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moves, "swap", swap_without_shift)
+        assert_neighbour_maps_match_apply_move(word, rng)
+
+
+def assert_neighbour_maps_match_apply_move(word, rng):
     # each node's map, entry order included, is the map apply_move gives
     # for that node alone, in enumeration order, in a shuffled one and
     # for a random nonempty proper subset.  The subset's moves reach
     # neighbours outside it: these are numbered past the subset in the
-    # order the maps meet them, each with an empty map
+    # order the maps meet them, each with an empty map.  Returns each
+    # node's accepted moves as (steps reached, move), in apply_move order
     sequences = enumerate_sequences(word)
     orders = [sequences, rng.sample(sequences, len(sequences))]
     if len(sequences) > 1:
@@ -311,9 +353,10 @@ def test_neighbour_maps_match_apply_move_per_node(word, rng):
         assert list(index) == nodes + list(met)
         assert list(maps) == list(range(len(index)))
         for i, r in enumerate(order):
-            moves_of_r = [(index[steps], move) for steps, move in expected[r.steps]]
+            moves_of_r = [(index[steps], move) for steps, move in dict(expected[r.steps]).items()]
             assert list(maps[i].items()) == moves_of_r
         assert all(maps[j] == {} for j in range(len(order), len(index)))
+    return expected
 
 
 def test_neighbour_maps_reject_sequences_of_two_words():
@@ -376,10 +419,6 @@ def test_neighbour_maps_number_non_nodes_in_the_order_the_maps_meet_them(monkeyp
     # a swap that forgets to rewrite its positions reaches non-nodes: in
     # any input order they are numbered past the sequences in the order
     # the maps, read in node order, first meet them
-    def swap_without_shift(r, i):
-        steps = r.steps
-        return ReductionSequence(r.word, steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:])
-
     monkeypatch.setattr(moves, "swap", swap_without_shift)
     non_nodes = 0
     for text in CORPUS_WORDS:

@@ -787,12 +787,15 @@ def test_move_graph_held_memory_is_bounded():
 
 
 def test_move_graph_work_and_peak_are_pinned(monkeypatch):
-    # LARGE_WORD's graph finds the step-0 moves of each sub-problem once:
-    # 3,352 swap and 240 _overlap_target calls, where testing each node's
-    # moves without shared sub-problems makes 9,180 and 24,624.  The
-    # traced peak stays below 2.1 MiB: 1,850 KiB, against 1,428 KiB
-    # without shared sub-problems and 1,973 KiB if no sub-problem's maps
-    # were dropped once lifted
+    # LARGE_WORD's graph finds the step-0 moves of each sub-problem once,
+    # and a step-0 swap depends only on the first two steps, so swap is
+    # called once per non-nested sub-block of tails with the same first
+    # two steps: 386 swap calls (3,352 at one call per tail) and 240
+    # _overlap_target calls, where testing each node's moves without
+    # shared sub-problems makes 9,180 and 24,624.  The traced peak stays
+    # below 2.1 MiB: 1,878 KiB (1,851 KiB at one swap call per tail),
+    # against 1,428 KiB without shared sub-problems and 2,002 KiB if no
+    # sub-problem's maps were dropped once lifted
     word = w(LARGE_WORD)
     gc.collect()
     tracemalloc.start()
@@ -813,7 +816,7 @@ def test_move_graph_work_and_peak_are_pinned(monkeypatch):
     for name in calls:
         monkeypatch.setattr(moves, name, counting(name, getattr(moves, name)))
     assert len(build_move_graph(word).nodes) == 2052
-    assert calls == {"swap": 3352, "_overlap_target": 240}
+    assert calls == {"swap": 386, "_overlap_target": 240}
 
 
 def test_move_graph_keeps_every_applicable_move():
