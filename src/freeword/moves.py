@@ -164,21 +164,9 @@ def neighbour_maps(
     move is dropped.  A sequence of another word raises WordMismatch
     and a step that is no redex raises InvalidRedex, as run_sequence
     does: either way the first faulty sequence's error, in input order.
-    """
-    index = {seq.steps: i for i, seq in enumerate(sequences)}
-    if not sequences:
-        return {}, index
-    word = sequences[0].word
-    if any(seq.word != word for seq in sequences):
-        _raise_first_fault(sequences)
-    return _maps_by_sub_problem(sequences, index)
 
-
-def _maps_by_sub_problem(
-    sequences: Sequence[ReductionSequence], index: dict[Steps, int],
-) -> tuple[dict[int, dict[int, Move]], dict[Steps, int]]:
-    """neighbour_maps from one identity: a move at step i of a sequence
-    is the step-0 move of its tail, the steps from i on, on the word left
+    The maps rest on one identity: a move at step i of a sequence is
+    the step-0 move of its tail, the steps from i on, on the word left
     after the first i steps.  So the work is split into sub-problems, a
     word and the distinct tails that reduce it.  The sequences with
     first step p give the sub-problem of the word without the redex at
@@ -195,7 +183,14 @@ def _maps_by_sub_problem(
     sequences.  Only two layers of words and tails are held at a time,
     a sub-problem's maps are dropped once the last one that lifts them
     is built, and nothing recurses, so no word is too long for the
-    stack."""
+    stack.
+    """
+    index = {seq.steps: i for i, seq in enumerate(sequences)}
+    if not sequences:
+        return {}, index
+    word = sequences[0].word
+    if any(seq.word != word for seq in sequences):
+        _raise_first_fault(sequences)
     # top down: layers[d] is (the sub-problems d steps in, uses), each
     # sub-problem as (a map per tail, holding its step-0 moves until it
     # is lifted, plan, extras).  The plan lists (p, the tails with first
@@ -204,7 +199,7 @@ def _maps_by_sub_problem(
     # empty rest needs no sub-problem, and its b is None.  extras numbers,
     # past the tails, the steps that the moves reach and no tail has
     layers = []
-    found = {(sequences[0].word, tuple(index)): None}  # the next layer, each sub-problem once
+    found = {(word, tuple(index)): None}  # the next layer, each sub-problem once
     while found:
         swap_move, left_move, right_move = (Move(kind, len(layers)) for kind in _KINDS)
         layer = []

@@ -237,11 +237,10 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     graph, each with the move's label, is a path: its target is
     reachable, no farther than its length.  So only a pair whose chain
     is no such path, or is longer than the farthest distance so far, is
-    searched, since no other can raise it or be unreachable.  Exhaustive
-    pairs read the distance from one breadth-first search per start, run
-    at its first pair searched, which expands each node once.  A sampled
-    pair gets it from a search that meets in the middle, forward from
-    the start and backward from the target.
+    searched, since no other can raise it or be unreachable.  Every
+    searched pair, exhaustive or sampled, gets its distance from a
+    search that meets in the middle, forward from the start and backward
+    from the target.
     """
     word = graph.word
     nodes = graph.nodes
@@ -253,8 +252,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     bound = k * (k - 1) // 2
     sequences = _Sequences(word, nodes)
     predecessors = None
-    sampled = count > PAIR_THRESHOLD
-    if not sampled:
+    if count <= PAIR_THRESHOLD:
         runs = [(i, range(count)) for i in range(count)]
     else:
         rng = rng or random.Random(0)
@@ -278,7 +276,6 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
 
     for i, targets in runs:
         r = sequences[i]
-        dist = None
         for j in targets:
             try:
                 chain = transform_to(r, sequences[j])
@@ -320,19 +317,14 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
                     # and its distance is at most length: no search can
                     # raise farthest or find j unreachable
                     continue
-            if sampled:
-                if predecessors is None:
-                    # from the adjacency itself, since a faulty move can
-                    # make an edge one-way or lead it out of the node set
-                    predecessors = [[] for _ in adjacency]
-                    for node, others in adjacency.items():
-                        for other in others:
-                            predecessors[other].append(node)
-                distance = _distance(adjacency, predecessors, i, j)
-            else:
-                if dist is None:
-                    dist = _distances(adjacency, i)
-                distance = dist[j]
+            if predecessors is None:
+                # from the adjacency itself, since a faulty move can make
+                # an edge one-way or lead it out of the node set
+                predecessors = [[] for _ in adjacency]
+                for node, others in adjacency.items():
+                    for other in others:
+                        predecessors[other].append(node)
+            distance = _distance(adjacency, predecessors, i, j)
             if distance is None:
                 fail(i, j, None, "target unreachable by single moves")
             elif distance > farthest:

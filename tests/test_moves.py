@@ -393,9 +393,11 @@ def test_neighbour_maps_by_sub_problem_drop_maps_once_lifted():
     # 2,640 sequences of a 12-letter word whose sub-problems one step in
     # are mostly lifted once: each one's maps are dropped once lifted, so
     # the traced peak exceeds the maps returned by under 28 % of them
-    # (20 %: 1,739 KiB against 1,443 KiB held, on Python 3.10 to 3.13
-    # alike).  Kept until the layer above is built, they raised the peak
-    # to 2,018 KiB, 40 % over
+    # (13 %: 1,752 KiB against 1,553 KiB held, on Python 3.11).  Held
+    # counts the freed tuples of rests still on CPython's tuple free
+    # lists, which gc.collect() empties (1,310 KiB held after it).  Kept
+    # until the layer above is built, they raise the peak to 2,056 KiB,
+    # 32 % over
     word = w("a' a a a' a' a a a' a a' a a'")
     sequences = enumerate_sequences(word)
     tracemalloc.start()

@@ -714,38 +714,29 @@ def record_pairs(monkeypatch):
 
 
 def record_searches(monkeypatch, maps=None):
-    # every search the oracle runs, in order, with its result, over
-    # node numbers: (start, distances) for a start's BFS, (start,
-    # target, distance) for a sampled pair; maps, if given, collects the
+    # every pair the pair check searches, in order, as (start, target,
+    # distance) over node numbers; maps, if given, collects the
     # successor map each search is handed
     searches = []
     maps = [] if maps is None else maps
-    distances, distance = oracle._distances, oracle._distance
-
-    def recording_distances(successors, start):
-        maps.append(successors)
-        searches.append((start, distances(successors, start)))
-        return searches[-1][-1]
+    distance = oracle._distance
 
     def recording_distance(successors, predecessors, start, target):
         maps.append(successors)
         searches.append((start, target, distance(successors, predecessors, start, target)))
         return searches[-1][-1]
 
-    monkeypatch.setattr(oracle, "_distances", recording_distances)
     monkeypatch.setattr(oracle, "_distance", recording_distance)
     return searches
 
 
-def expected_searches(graph, pairs, sampled):
+def expected_searches(graph, pairs):
     # the searches the pair check runs on these pairs, node numbers in
     # check order, with their results, as record_searches logs them.  A
-    # pair needs a distance when its chain is not a path of the graph to
-    # its target, move by move with the same label, or is longer than
-    # the farthest distance of the pairs before; every other target is
-    # reachable, no farther than that.  For all pairs, a start's one BFS
-    # runs at its first pair that needs a distance; a sampled pair that
-    # needs one gets its own search.  For sound transform_to and
+    # pair is searched when its chain is not a path of the graph to its
+    # target, move by move with the same label, or is longer than the
+    # farthest distance of the pairs before; every other target is
+    # reachable, no farther than that.  For sound transform_to and
     # apply_move; the graph may be damaged
     reference = {}
     searches = []
@@ -762,10 +753,7 @@ def expected_searches(graph, pairs, sampled):
             path = path and graph.adjacency[at].get(after) == move
             at = after
         if not path or at != j or len(chain) > farthest:
-            if sampled:
-                searches.append((i, j, reference[i][j]))
-            elif not searches or searches[-1][0] != i:
-                searches.append((i, reference[i]))
+            searches.append((i, j, reference[i][j]))
         farthest = max(farthest, reference[i][j] or 0)
     return searches
 
@@ -863,33 +851,41 @@ def test_move_graph_holds_exactly_the_moves_apply_move_accepts():
 
 def test_searches_run_over_the_graph_adjacency_itself(monkeypatch):
     # no search gets a successor map rebuilt from the adjacency:
-    # check_connected, a start's BFS and a sampled pair's two-sided
-    # search are all handed graph.adjacency itself, and search from
-    # node numbers, not step tuples.  Past check_connected's, the pair
-    # check runs one BFS on EXHAUSTIVE_WORD and 7 sampled searches on
-    # LARGE_WORD
+    # check_connected's BFS and the pair check's two-sided searches are
+    # all handed graph.adjacency itself, and search from node numbers,
+    # not step tuples.  Past check_connected's, the pair check runs 11
+    # searches on EXHAUSTIVE_WORD (one BFS while its pairs read their
+    # distance from a BFS per start) and 7 on LARGE_WORD
     maps = []
+    distances = oracle._distances
+
+    def recording_distances(successors, start):
+        maps.append(successors)
+        return distances(successors, start)
+
+    monkeypatch.setattr(oracle, "_distances", recording_distances)
     searches = record_searches(monkeypatch, maps)
-    for text, count in [(EXHAUSTIVE_WORD, 2), (LARGE_WORD, 8)]:
+    for text, count in [(EXHAUSTIVE_WORD, 12), (LARGE_WORD, 8)]:
         graph = build_move_graph(w(text))
         del maps[:], searches[:]
         assert check_connected(graph)
         assert check_pairs(graph, random.Random(0)).ok
-        assert len(maps) == len(searches) == count
+        assert len(maps) == len(searches) + 1 == count
         assert all(m is graph.adjacency for m in maps)
         assert all(type(n) is int for search in searches for n in search[:-1])
-    assert {len(search) for search in searches[1:]} == {3}
 
 
-# the searches check_pairs runs on these words and seeds: one BFS where
-# every start had one (150), and a few sampled searches where every
-# sampled pair had one (50)
-SEARCH_COUNTS = {(EXHAUSTIVE_WORD, 0): 1, (LARGE_WORD, 0): 7, (LARGE_WORD, 1): 6,
-                 (LARGE_WORD, 2): 3}
+# the pairs check_pairs searches on these words and seeds, of 22,500
+# and 32,400 pairs checked on the exhaustive words and 50 sampled ones
+# on LARGE_WORD.  While exhaustive pairs read their distance from a BFS
+# per start, each exhaustive word ran one BFS, from its first start
+SEARCH_COUNTS = {(EXHAUSTIVE_WORD, 0): 11, (SWEEP_WORD, 0): 12, (LARGE_WORD, 0): 7,
+                 (LARGE_WORD, 1): 6, (LARGE_WORD, 2): 3}
 
 
 @pytest.mark.parametrize("text,samples,seed", [
     (EXHAUSTIVE_WORD, None, 0),
+    (SWEEP_WORD, None, 0),
     (LARGE_WORD, oracle.PAIR_SAMPLES, 0),
     (LARGE_WORD, oracle.PAIR_SAMPLES, 1),
     (LARGE_WORD, oracle.PAIR_SAMPLES, 2),
@@ -908,7 +904,7 @@ def test_check_pairs_distances_match_a_full_bfs(monkeypatch, text, samples, seed
     reference = {start: full_bfs(graph, start) for start in {s for s, _ in numbers}}
     if samples is None:
         assert [s for s, _ in pairs] == [s for s in graph.nodes for _ in graph.nodes]
-    assert searches == expected_searches(graph, numbers, samples is not None)
+    assert searches == expected_searches(graph, numbers)
     assert len(searches) == SEARCH_COUNTS[text, seed]
     assert report.max_bfs_distance == max(reference[s][t] for s, t in numbers)
 
@@ -998,7 +994,7 @@ def test_sampled_distances_on_damaged_graphs_match_a_full_bfs(monkeypatch, text)
                 assert len(pairs) == report.pair_count == oracle.PAIR_SAMPLES
             else:
                 assert len(pairs) == report.pair_count == len(graph.nodes) ** 2
-            assert searches == expected_searches(damaged, numbers, threshold == 2)
+            assert searches == expected_searches(damaged, numbers)
             unreachable = [(s, t, reason) for (s, t), (i, j) in zip(pairs, numbers)
                            if reference[i][j] is None]
             assert [(f.start, f.target, f.reason) for f in report.failures] == unreachable
@@ -1113,16 +1109,12 @@ def count_expansions(monkeypatch):
     # the (start, node) of every node that the pair check's searches
     # expand, forward over successors and backward over predecessors
     forward, backward = [], []
-    distances, distance = oracle._distances, oracle._distance
-
-    def counting_distances(successors, start):
-        return distances(CountingMap(successors, start, forward), start)
+    distance = oracle._distance
 
     def counting_distance(successors, predecessors, start, target):
         return distance(CountingMap(successors, start, forward),
                         CountingMap(predecessors, start, backward), start, target)
 
-    monkeypatch.setattr(oracle, "_distances", counting_distances)
     monkeypatch.setattr(oracle, "_distance", counting_distance)
     return forward, backward
 
@@ -1156,14 +1148,18 @@ def test_check_pairs_search_stops_at_the_target(monkeypatch):
     assert len(forward) + len(backward) < len(starts) * len(graph.nodes)
 
     del forward[:], backward[:]
+    searches = record_searches(monkeypatch)
     graph = build_move_graph(w(EXHAUSTIVE_WORD))
     assert check_pairs(graph).ok
-    # one search, from the first start, which expands each node of this
-    # connected graph once, and no search backward; with a search per
-    # start, 150 expanded 22,500 nodes
-    assert not backward
-    assert len(set(forward)) == len(forward) == len(graph.nodes)
-    assert {s for s, _ in forward} == {0}
+    # 11 searches, all from the first start, expand 197 nodes forward
+    # and 149 backward (both pinned), where 11 full BFSs would expand
+    # 1,650.  One BFS from the first start, which these pairs ran while
+    # they read their distance from a BFS per start, expanded each of
+    # the 150 nodes once; a BFS per start would expand 22,500
+    assert len(searches) == 11
+    assert {s for s, _ in forward + backward} == {0}
+    assert len(forward) + len(backward) < len(searches) * len(graph.nodes)
+    assert (len(forward), len(backward)) == (197, 149)
 
 
 def test_check_pairs_sampled_searches_meet_in_the_middle(monkeypatch):
