@@ -125,56 +125,29 @@ def check_connected(graph: MoveGraph) -> bool:
     return None not in dist[:count] and dist.count(None) == len(dist) - count
 
 
-def _distances(successors: dict[int, dict[int, Move]], start: int) -> list[int | None]:
+def _distances(
+    successors: dict[int, dict[int, Move]], start: int, target: int | None = None
+) -> list[int | None]:
     """Breadth-first distance from start to every number of a
-    MoveGraph's adjacency, whose entries iterate as neighbours: None
-    where start does not reach."""
+    MoveGraph's adjacency, whose entries iterate as neighbours, along
+    edge direction: None where start does not reach.  Given a target,
+    it returns as soon as the target has its distance, at once when it
+    is the start and otherwise when it is first found, so a number not
+    found by then reads None too."""
     dist: list[int | None] = [None] * len(successors)
     dist[start] = 0
+    if start == target:
+        return dist
     order = [start]
     for node in order:  # grows as nodes are found, so a queue
         step = dist[node] + 1
         for other in successors[node]:
             if dist[other] is None:
                 dist[other] = step
+                if other == target:
+                    return dist
                 order.append(other)
     return dist
-
-
-def _distance(
-    successors: dict[int, dict[int, Move]],
-    predecessors: list[list[int]],
-    start: int,
-    target: int,
-) -> int | None:
-    """Breadth-first distance from start to target, or None if target is
-    unreachable, by a search that meets in the middle: forward from
-    start over successors, a MoveGraph's adjacency, and backward from
-    target over predecessors, whose entries are bare lists; both are
-    indexed by node number.  It always grows the smaller frontier by one
-    whole layer and returns at the first node the other side has seen.
-    Before that layer no node was on both sides, so no path is
-    shorter."""
-    if start == target:
-        return 0
-    side = ([start], {start: 0}, successors)
-    other_side = ([target], {target: 0}, predecessors)
-    while side[0] and other_side[0]:
-        if len(side[0]) > len(other_side[0]):
-            side, other_side = other_side, side
-        frontier, seen, neighbours = side
-        met = other_side[1]
-        layer = []
-        for node in frontier:
-            step = seen[node] + 1
-            for other in neighbours[node]:
-                if other not in seen:
-                    if other in met:
-                        return step + met[other]
-                    seen[other] = step
-                    layer.append(other)
-        side = (layer, seen, neighbours)
-    return None
 
 
 @dataclass
@@ -238,9 +211,9 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     reachable, no farther than its length.  So only a pair whose chain
     is no such path, or is longer than the farthest distance so far, is
     searched, since no other can raise it or be unreachable.  Every
-    searched pair, exhaustive or sampled, gets its distance from a
-    search that meets in the middle, forward from the start and backward
-    from the target.
+    searched pair, exhaustive or sampled, gets its distance from one
+    breadth-first search over the adjacency from the start, which stops
+    once the target has its distance.
     """
     word = graph.word
     nodes = graph.nodes
@@ -251,7 +224,6 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
     k = len(word) // 2
     bound = k * (k - 1) // 2
     sequences = _Sequences(word, nodes)
-    predecessors = None
     if count <= PAIR_THRESHOLD:
         runs = [(i, range(count)) for i in range(count)]
     else:
@@ -317,14 +289,7 @@ def check_pairs(graph: MoveGraph, rng: random.Random | None = None) -> Transform
                     # and its distance is at most length: no search can
                     # raise farthest or find j unreachable
                     continue
-            if predecessors is None:
-                # from the adjacency itself, since a faulty move can make
-                # an edge one-way or lead it out of the node set
-                predecessors = [[] for _ in adjacency]
-                for node, others in adjacency.items():
-                    for other in others:
-                        predecessors[other].append(node)
-            distance = _distance(adjacency, predecessors, i, j)
+            distance = _distances(adjacency, i, j)[j]
             if distance is None:
                 fail(i, j, None, "target unreachable by single moves")
             elif distance > farthest:

@@ -285,6 +285,7 @@ def test_a_move_at_step_i_is_the_step_0_move_of_the_tail(word):
                 assert moved(r, Move(kind, i)) == expected
 
 
+@pytest.mark.at_length
 @settings(deadline=None)
 @given(reducible_words())
 def test_a_swap_edits_only_its_two_steps(word):
@@ -308,6 +309,7 @@ def swap_without_shift(r, i):
     return ReductionSequence(r.word, steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:])
 
 
+@pytest.mark.at_length
 @settings(deadline=None)
 @given(reducible_words(), st.randoms(use_true_random=False))
 def test_neighbour_maps_match_apply_move_per_node(word, rng):
@@ -317,6 +319,7 @@ def test_neighbour_maps_match_apply_move_per_node(word, rng):
     assert all(len(dict(accepted)) == len(accepted) for accepted in expected.values())
 
 
+@pytest.mark.at_length
 @settings(deadline=None)
 @given(reducible_words(), st.randoms(use_true_random=False))
 def test_neighbour_maps_match_apply_move_per_node_under_a_faulty_swap(word, rng):

@@ -715,18 +715,21 @@ def record_pairs(monkeypatch):
 
 def record_searches(monkeypatch, maps=None):
     # every pair the pair check searches, in order, as (start, target,
-    # distance) over node numbers; maps, if given, collects the
-    # successor map each search is handed
+    # distance) over node numbers: the searches given a target, so not
+    # check_connected's.  maps, if given, collects the successor map
+    # every search is handed, check_connected's included
     searches = []
     maps = [] if maps is None else maps
-    distance = oracle._distance
+    distances = oracle._distances
 
-    def recording_distance(successors, predecessors, start, target):
+    def recording_distances(successors, start, target=None):
         maps.append(successors)
-        searches.append((start, target, distance(successors, predecessors, start, target)))
-        return searches[-1][-1]
+        dist = distances(successors, start, target)
+        if target is not None:
+            searches.append((start, target, dist[target]))
+        return dist
 
-    monkeypatch.setattr(oracle, "_distance", recording_distance)
+    monkeypatch.setattr(oracle, "_distances", recording_distances)
     return searches
 
 
@@ -851,19 +854,12 @@ def test_move_graph_holds_exactly_the_moves_apply_move_accepts():
 
 def test_searches_run_over_the_graph_adjacency_itself(monkeypatch):
     # no search gets a successor map rebuilt from the adjacency:
-    # check_connected's BFS and the pair check's two-sided searches are
-    # all handed graph.adjacency itself, and search from node numbers,
-    # not step tuples.  Past check_connected's, the pair check runs 11
-    # searches on EXHAUSTIVE_WORD (one BFS while its pairs read their
-    # distance from a BFS per start) and 7 on LARGE_WORD
+    # check_connected's BFS and the pair check's searches are all handed
+    # graph.adjacency itself, and search from node numbers, not step
+    # tuples.  Past check_connected's, the pair check runs 11 searches
+    # on EXHAUSTIVE_WORD (one BFS while its pairs read their distance
+    # from a BFS per start) and 7 on LARGE_WORD
     maps = []
-    distances = oracle._distances
-
-    def recording_distances(successors, start):
-        maps.append(successors)
-        return distances(successors, start)
-
-    monkeypatch.setattr(oracle, "_distances", recording_distances)
     searches = record_searches(monkeypatch, maps)
     for text, count in [(EXHAUSTIVE_WORD, 12), (LARGE_WORD, 8)]:
         graph = build_move_graph(w(text))
@@ -1065,6 +1061,7 @@ def pair_checks(draw):
     return word, defect, damage, samples, draw(st.integers(0, 2**16))
 
 
+@pytest.mark.at_length
 @settings(deadline=None)
 @given(pair_checks())
 def test_check_pairs_matches_every_pair_searched(case):
@@ -1106,17 +1103,18 @@ class CountingMap(list):
 
 
 def count_expansions(monkeypatch):
-    # the (start, node) of every node that the pair check's searches
-    # expand, forward over successors and backward over predecessors
-    forward, backward = [], []
-    distance = oracle._distance
+    # the (start, node) of every node that the pair check's searches,
+    # the ones given a target, expand
+    expanded = []
+    distances = oracle._distances
 
-    def counting_distance(successors, predecessors, start, target):
-        return distance(CountingMap(successors, start, forward),
-                        CountingMap(predecessors, start, backward), start, target)
+    def counting_distances(successors, start, target=None):
+        if target is not None:
+            successors = CountingMap(successors, start, expanded)
+        return distances(successors, start, target)
 
-    monkeypatch.setattr(oracle, "_distance", counting_distance)
-    return forward, backward
+    monkeypatch.setattr(oracle, "_distances", counting_distances)
+    return expanded
 
 
 def expanded_until(graph, start, target):
@@ -1135,49 +1133,84 @@ def expanded_until(graph, start, target):
 
 def test_check_pairs_search_stops_at_the_target(monkeypatch):
     pairs = record_pairs(monkeypatch)
-    forward, backward = count_expansions(monkeypatch)
+    expanded = count_expansions(monkeypatch)
     graph = build_move_graph(w(LARGE_WORD))
     assert check_pairs(graph, random.Random(0)).ok
-    assert forward and backward
-    assert {node for _, node in forward + backward} <= set(range(len(graph.nodes)))
+    assert expanded
+    assert {node for _, node in expanded} <= set(range(len(graph.nodes)))
     # a full BFS expands every node of this connected graph once; the
     # searches run from 7 of the 50 sampled starts
-    starts = {s for s, _ in forward + backward}
+    starts = {s for s, _ in expanded}
     assert starts <= {s for s, _ in numbered(graph, pairs)}
     assert len(starts) == 7
-    assert len(forward) + len(backward) < len(starts) * len(graph.nodes)
+    assert len(expanded) < len(starts) * len(graph.nodes)
 
-    del forward[:], backward[:]
+    del expanded[:]
     searches = record_searches(monkeypatch)
     graph = build_move_graph(w(EXHAUSTIVE_WORD))
     assert check_pairs(graph).ok
-    # 11 searches, all from the first start, expand 197 nodes forward
-    # and 149 backward (both pinned), where 11 full BFSs would expand
-    # 1,650.  One BFS from the first start, which these pairs ran while
-    # they read their distance from a BFS per start, expanded each of
-    # the 150 nodes once; a BFS per start would expand 22,500
+    # 11 searches, all from the first start, expand 710 nodes (pinned),
+    # where 11 full BFSs would expand 1,650.  Searches that met in the
+    # middle expanded 197 nodes forward and 149 backward.  One BFS from
+    # the first start, which these pairs ran while they read their
+    # distance from a BFS per start, expanded each of the 150 nodes
+    # once; a BFS per start would expand 22,500
     assert len(searches) == 11
-    assert {s for s, _ in forward + backward} == {0}
-    assert len(forward) + len(backward) < len(searches) * len(graph.nodes)
-    assert (len(forward), len(backward)) == (197, 149)
+    assert {s for s, _ in expanded} == {0}
+    assert len(expanded) < len(searches) * len(graph.nodes)
+    assert len(expanded) == 710
 
 
-def test_check_pairs_sampled_searches_meet_in_the_middle(monkeypatch):
-    # both sides of the 7 sampled searches together expand under 40 % of
-    # the nodes that one-sided searches stopping at the same targets
-    # expand (35.9 %: 3,316 against 9,247, both pinned).  One-sided
-    # searches for all 50 pairs would expand 45,418 (pinned), and
-    # two-sided ones 12,524
+def test_check_pairs_searches_stop_at_their_targets(monkeypatch):
+    # the 7 sampled searches each expand exactly the nodes a breadth-
+    # first search expands before it finds its target: 9,247 (pinned),
+    # where searches for all 50 pairs would expand 45,418 (pinned)
     pairs = record_pairs(monkeypatch)
-    forward, backward = count_expansions(monkeypatch)
+    expanded = count_expansions(monkeypatch)
     searches = record_searches(monkeypatch)
     graph = build_move_graph(w(LARGE_WORD))
     assert check_pairs(graph, random.Random(0)).ok
     assert len(pairs) == oracle.PAIR_SAMPLES
     assert len(searches) == 7
-    assert forward and backward
-    one_sided = sum(expanded_until(graph, start, target) for start, target, _ in searches)
+    until_found = sum(expanded_until(graph, start, target) for start, target, _ in searches)
     every_pair = sum(expanded_until(graph, start, target)
                      for start, target in numbered(graph, pairs))
-    assert len(forward) + len(backward) < 0.4 * one_sided
-    assert (len(forward) + len(backward), one_sided, every_pair) == (3316, 9247, 45418)
+    assert len(expanded) == until_found
+    assert (until_found, every_pair) == (9247, 45418)
+
+
+def test_distances_stops_once_the_target_has_its_distance():
+    # (0, 0) -> (1, 0) is one-way, and (2, 0) has an edge leaving the
+    # node set, to the stray numbered 3, which leads nowhere
+    graph = hand_built(
+        "a a' a a'",
+        ((0, 0), (1, 0), (2, 0)),
+        {
+            0: {1: Move(OVERLAP_RIGHT, 0)},
+            1: {2: Move(OVERLAP_RIGHT, 0)},
+            2: {1: Move(OVERLAP_LEFT, 0), 3: Move(SWAP, 0)},
+            3: {},
+        },
+        strays=((9, 9),),
+    )
+    expanded = []
+
+    def distances(start, target=None):
+        return oracle._distances(CountingMap(graph.adjacency, start, expanded), start, target)
+
+    # the start is its own target: distance 0, and no node expanded
+    assert distances(2, 2)[2] == 0
+    assert expanded == []
+    # the one-way edge is followed forward only: 0 reaches 1 at once,
+    # and 1 never reaches 0, so that search drains 1's component
+    assert distances(0, 1)[1] == 1
+    assert expanded == [(0, 0)]
+    del expanded[:]
+    assert distances(1, 0)[0] is None
+    assert sorted(node for _, node in expanded) == [1, 2, 3]
+    # with no target, every number gets its full distance
+    for start in range(len(graph.adjacency)):
+        assert distances(start) == full_bfs(graph, start)
+    for text in [EXHAUSTIVE_WORD, LARGE_WORD]:
+        graph = build_move_graph(w(text))
+        assert oracle._distances(graph.adjacency, 0) == full_bfs(graph, 0)

@@ -350,6 +350,7 @@ def memo_calls(draw):
     return calls
 
 
+@pytest.mark.at_length
 @given(memo_calls())
 def test_transform_to_with_the_memo_matches_cold_calls(calls):
     transform._memo = None
@@ -357,6 +358,7 @@ def test_transform_to_with_the_memo_matches_cold_calls(calls):
     assert warm == [cold_outcome(r, s) for r, s in calls]
 
 
+@pytest.mark.at_length
 @given(memo_calls())
 def test_transform_to_with_a_small_bound_matches_cold_calls(calls):
     # a bound of 48 state letters, 4 states of these words of up to 12
@@ -480,6 +482,7 @@ def test_transform_to_second_call_resumes_past_the_shared_levels(monkeypatch):
     assert chains == [cold_outcome(start, target) for start, target, _ in calls]
 
 
+@pytest.mark.at_length
 def test_transform_to_from_two_threads_matches_cold_calls():
     # both threads take the same starts, one at a time, and split its
     # targets, so each keeps resuming from levels the other published
@@ -539,6 +542,7 @@ def switched_halfway(first, second):
     return first[:half] + second + first[half:]
 
 
+@pytest.mark.at_length
 @pytest.mark.parametrize("order", ["start-major", "shuffled", "switched"])
 def test_transform_to_sharing_tails_across_starts_matches_cold_calls(order):
     if order == "start-major":
